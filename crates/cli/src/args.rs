@@ -3,7 +3,9 @@
 //! The tool only needs `ikrq <command> --flag value ...` with long flags, so
 //! a dependency-free parser keeps the workspace inside the approved crate
 //! set. Flags may be given as `--flag value` or `--flag=value`; boolean
-//! switches take no value.
+//! switches take no value. Each command names the flags it reads
+//! ([`ParsedArgs::reject_unknown`]), so a mistyped or retired flag is a
+//! usage error rather than silently ignored.
 
 use crate::error::CliError;
 use crate::Result;
@@ -21,7 +23,7 @@ pub struct ParsedArgs {
 }
 
 /// Boolean switches recognised by the tool (flags that never take a value).
-const SWITCHES: &[&str] = &["binary", "no-labels", "door-ids", "quiet", "help"];
+const SWITCHES: &[&str] = &["binary", "no-labels", "door-ids", "help"];
 
 impl ParsedArgs {
     /// Parses the raw arguments (without the program name).
@@ -106,6 +108,29 @@ impl ParsedArgs {
             return Err(CliError::Usage(format!("flag `--{name}` given twice")));
         }
         Ok(())
+    }
+
+    /// Fails with a usage error naming the first given flag (value flag or
+    /// switch) that appears in none of the `known` groups, each a
+    /// space-separated list of flag names.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<()> {
+        let is_known = |flag: &str| {
+            known
+                .iter()
+                .any(|group| group.split_whitespace().any(|name| name == flag))
+        };
+        match self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .find(|flag| !is_known(flag))
+        {
+            Some(flag) => Err(CliError::Usage(format!(
+                "unknown flag `--{flag}` for `{}`",
+                self.command
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Whether a boolean switch is present.
@@ -253,8 +278,8 @@ mod tests {
 
     #[test]
     fn booleans_parse_their_spellings() {
-        let p = parse(&["serve", "--keep-alive", "false", "--quiet"]).unwrap();
-        assert_eq!(p.get_bool("keep-alive").unwrap(), Some(false));
+        let p = parse(&["serve", "--index", "false", "--help"]).unwrap();
+        assert_eq!(p.get_bool("index").unwrap(), Some(false));
         assert_eq!(p.get_bool("absent").unwrap(), None);
         for (spelling, expected) in [
             ("true", true),
@@ -266,15 +291,11 @@ mod tests {
             ("0", false),
             ("No", false),
         ] {
-            let p = parse(&["serve", "--keep-alive", spelling]).unwrap();
-            assert_eq!(
-                p.get_bool("keep-alive").unwrap(),
-                Some(expected),
-                "{spelling}"
-            );
+            let p = parse(&["serve", "--index", spelling]).unwrap();
+            assert_eq!(p.get_bool("index").unwrap(), Some(expected), "{spelling}");
         }
-        let bad = parse(&["serve", "--keep-alive", "maybe"]).unwrap();
-        assert!(bad.get_bool("keep-alive").is_err());
+        let bad = parse(&["serve", "--index", "maybe"]).unwrap();
+        assert!(bad.get_bool("index").is_err());
     }
 
     #[test]

@@ -66,11 +66,8 @@ COMMANDS:
                --workers N                     worker threads (default: cores)
                --max-in-flight N               concurrent-request bound (default 4x workers)
                --max-connections N             open-connection bound (default 4x max-in-flight)
-               --keep-alive true|false         connection reuse (default true)
                --idle-timeout SECONDS          close idle connections after (default 30)
                --max-requests-per-conn N       recycle connections after N requests (default: unlimited)
-               --reactor true|false            idle-connection watcher: readiness reactor (default)
-                                               or the legacy 5 ms poll-sweep parker
                --index true|false              venue index: keyword/region-accelerated queries
                                                (default) or the original linear scans
                --koe-rows-cap N                bound on cached KoE* distance rows per venue
@@ -94,8 +91,15 @@ COMMANDS:
     help       Show this message
 ";
 
-/// Runs a parsed command line and returns the report to print.
+/// The flags `build_request` reads, shared by `query` and `render`.
+const REQUEST_FLAGS: &str = "from to delta keywords k alpha tau algorithm budget";
+
+/// Runs a parsed command line and returns the report to print. `--help`
+/// after any command prints the usage text.
 pub fn run(args: &ParsedArgs) -> Result<String> {
+    if args.switch("help") {
+        return Ok(USAGE.to_string());
+    }
     match args.command.as_str() {
         "help" => Ok(USAGE.to_string()),
         "generate" => generate(args),
@@ -158,6 +162,7 @@ fn build_venue(args: &ParsedArgs) -> Result<(Venue, String, f64)> {
 }
 
 fn generate(args: &ParsedArgs) -> Result<String> {
+    args.reject_unknown(&["kind floors seed partitions out binary save-indexed"])?;
     let out = args.get("out").map(str::to_string);
     let save_indexed = args.get("save-indexed").map(str::to_string);
     if out.is_none() && save_indexed.is_none() {
@@ -341,6 +346,7 @@ fn build_serving_engine(
 }
 
 fn stats(args: &ParsedArgs) -> Result<String> {
+    args.reject_unknown(&["venue"])?;
     let path = args.require("venue")?;
     let (space, directory, name) = load_engine(path)?;
     let stats = space.stats();
@@ -513,6 +519,7 @@ fn report_response(report: &mut String, engine: &ikrq_core::IkrqEngine, response
 }
 
 fn query(args: &ParsedArgs) -> Result<String> {
+    args.reject_unknown(&["venue slack out", REQUEST_FLAGS])?;
     let path = args.require("venue")?;
     let (service, venue_id, engine) = load_service(path)?;
     let request = build_request(args, &venue_id)?;
@@ -574,6 +581,7 @@ fn query(args: &ParsedArgs) -> Result<String> {
 // ---------------------------------------------------------------------
 
 fn batch(args: &ParsedArgs) -> Result<String> {
+    args.reject_unknown(&["venue workload algorithm budget out"])?;
     let venue_path = args.require("venue")?;
     let workload_path = args.require("workload")?;
     let (service, venue_id, _engine) = load_service(venue_path)?;
@@ -649,6 +657,10 @@ fn batch(args: &ParsedArgs) -> Result<String> {
 /// integration tests can bind an ephemeral port and shut the server down;
 /// the `serve` command itself blocks forever on the returned handle.
 pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
+    args.reject_unknown(&[
+        "venues addr workers max-in-flight max-connections idle-timeout",
+        "max-requests-per-conn index koe-rows-cap cache-capacity cache-shards",
+    ])?;
     let paths = args.get_list("venues");
     if paths.is_empty() {
         return Err(CliError::Usage(
@@ -700,16 +712,13 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
     if let Some(shards) = args.get_usize("cache-shards")? {
         config.cache.shards = shards;
     }
-    if let Some(keep_alive) = args.get_bool("keep-alive")? {
-        config.keep_alive = keep_alive;
-    }
     if let Some(idle_timeout) = args.get_f64("idle-timeout")? {
         // try_from_secs_f64 also rejects NaN/negative/overflowing values,
         // which from_secs_f64 would panic on (e.g. `--idle-timeout 1e30`).
         match std::time::Duration::try_from_secs_f64(idle_timeout) {
             // Guard the rounded Duration, not the f64: 1e-10 is positive
             // but rounds to zero, which would close every parked
-            // connection on the parker's first sweep.
+            // connection as soon as the reactor registers it.
             Ok(duration) if !duration.is_zero() => config.idle_timeout = duration,
             _ => {
                 return Err(CliError::Usage(
@@ -723,9 +732,6 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
     }
     if let Some(max_connections) = args.get_usize("max-connections")? {
         config.max_connections = max_connections;
-    }
-    if let Some(reactor) = args.get_bool("reactor")? {
-        config.reactor = reactor;
     }
     let addr = args.get("addr").unwrap_or("127.0.0.1:8080");
     let handle = ikrq_server::serve_with_reloader(service, addr, config, reloader)?;
@@ -768,6 +774,9 @@ fn positive_secs(args: &ParsedArgs, name: &str) -> Result<Option<std::time::Dura
 /// ephemeral port and shut the router down; the `route` command itself
 /// blocks forever on the returned handle.
 pub fn start_router(args: &ParsedArgs) -> Result<ikrq_router::RouterHandle> {
+    args.reject_unknown(&[
+        "shards addr workers vnodes backend-timeout probe-interval fail-threshold",
+    ])?;
     let specs = args.require("shards")?;
     let mut shards = Vec::new();
     for spec in specs.split(';').map(str::trim).filter(|s| !s.is_empty()) {
@@ -826,6 +835,7 @@ fn route(args: &ParsedArgs) -> Result<String> {
 // ---------------------------------------------------------------------
 
 fn render(args: &ParsedArgs) -> Result<String> {
+    args.reject_unknown(&["venue floor out no-labels door-ids", REQUEST_FLAGS])?;
     let path = args.require("venue")?;
     let out = args.require("out")?.to_string();
     let floor = FloorId(args.get_i32("floor")?.unwrap_or(0));

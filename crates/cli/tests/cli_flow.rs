@@ -288,8 +288,6 @@ fn serve_hosts_generated_venues_over_http() {
         "127.0.0.1:0",
         "--workers",
         "2",
-        "--keep-alive",
-        "true",
         "--idle-timeout",
         "5",
         "--max-requests-per-conn",
@@ -324,13 +322,7 @@ fn serve_hosts_generated_venues_over_http() {
 
     // Bad boolean spellings are usage errors before anything binds.
     assert!(matches!(
-        run_args([
-            "serve",
-            "--venues",
-            venue_path.as_str(),
-            "--keep-alive",
-            "maybe"
-        ]),
+        run_args(["serve", "--venues", venue_path.as_str(), "--index", "maybe"]),
         Err(CliError::Usage(_))
     ));
     assert!(matches!(
@@ -343,6 +335,87 @@ fn serve_hosts_generated_venues_over_http() {
         ]),
         Err(CliError::Usage(_))
     ));
+}
+
+/// Every command rejects a flag it does not read, naming it, before it
+/// does any work — so a typo or a retired flag never silently becomes a
+/// no-op.
+#[test]
+fn unknown_and_removed_flags_are_usage_errors() {
+    fn assert_rejects<T: std::fmt::Debug>(result: Result<T, CliError>, flag: &str) {
+        match result {
+            Err(CliError::Usage(message)) => {
+                assert!(message.contains(&format!("`--{flag}`")), "{message}")
+            }
+            other => panic!("`--{flag}` must be a usage error, got {other:?}"),
+        }
+    }
+
+    let dir = TempDir::new("flags");
+    let venue_path = dir.file("example.json");
+    assert_rejects(
+        run_args([
+            "generate",
+            "--kind",
+            "example",
+            "--out",
+            venue_path.as_str(),
+            "--bogus-flag",
+            "3",
+        ]),
+        "bogus-flag",
+    );
+    assert!(
+        !std::path::Path::new(&venue_path).exists(),
+        "the flag check runs before generate writes anything"
+    );
+    run_args([
+        "generate",
+        "--kind",
+        "example",
+        "--out",
+        venue_path.as_str(),
+    ])
+    .unwrap();
+    assert_rejects(
+        run_args(["stats", "--venue", venue_path.as_str(), "--reactr", "false"]),
+        "reactr",
+    );
+    assert_rejects(
+        run_args(["stats", "--venue", venue_path.as_str(), "--binary"]),
+        "binary",
+    );
+
+    // The retired connection-model switches of `serve` fail loudly. (Through
+    // `start_server`, so a regression fails here instead of serving forever.)
+    for flag in ["reactor", "keep-alive"] {
+        let args = ikrq_cli::ParsedArgs::parse([
+            "serve",
+            "--venues",
+            venue_path.as_str(),
+            "--addr",
+            "127.0.0.1:0",
+            &format!("--{flag}"),
+            "false",
+        ])
+        .unwrap();
+        assert_rejects(ikrq_cli::commands::start_server(&args).map(drop), flag);
+    }
+
+    // The flags `serve` does read still start a server.
+    let args = ikrq_cli::ParsedArgs::parse([
+        "serve",
+        "--venues",
+        venue_path.as_str(),
+        "--addr",
+        "127.0.0.1:0",
+        "--workers",
+        "2",
+    ])
+    .unwrap();
+    let handle = ikrq_cli::commands::start_server(&args).unwrap();
+    let health = ikrq_server::one_shot(handle.local_addr(), "GET", "/v1/healthz", "").unwrap();
+    assert_eq!(health.status, 200);
 }
 
 #[test]

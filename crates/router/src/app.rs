@@ -117,8 +117,6 @@ struct RouterStatsBody {
     workers: usize,
     max_in_flight: usize,
     max_connections: usize,
-    keep_alive: bool,
-    reactor: bool,
     nofile_limit: u64,
     stats: ServerStats,
 }
@@ -265,10 +263,8 @@ impl RouterApp {
             workers: engine.config.effective_workers(),
             max_in_flight: engine.max_in_flight,
             max_connections: engine.max_connections,
-            keep_alive: engine.config.keep_alive,
-            reactor: engine.reactor,
             nofile_limit: engine.nofile_limit,
-            stats: engine.stats,
+            stats: engine.stats(),
         };
         Response::json(200, serde_json::to_string(&body).expect("stats serialize"))
     }

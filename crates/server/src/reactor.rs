@@ -3,13 +3,11 @@
 //! becomes readable, its idle timeout expires, or the server shuts
 //! down.
 //!
-//! This replaces the PR 3 parker thread, which probed every parked
-//! socket with a non-blocking peek on a 5 ms sweep — O(parked) work
-//! per tick whether or not anything happened, and a latency floor of
-//! one sweep interval on every wake-up. The reactor does O(ready) work
-//! per wake-up on the epoll backend, so tens of thousands of idle
-//! sessions cost nothing while they are idle; the 5 ms sweep survives
-//! only as the `reactor: false` legacy fallback in `server.rs`.
+//! The reactor does O(ready) work per wake-up on the epoll backend, so
+//! tens of thousands of idle sessions cost nothing while they are idle,
+//! and a request arriving on a parked session waits for no sweep
+//! interval. The reactor needs a unix poller: on other targets
+//! `Reactor::new` fails with `Unsupported`, and so does `serve`.
 //!
 //! # Lifecycle
 //!
@@ -99,10 +97,7 @@ mod unix {
     /// The reactor thread. Owns the slab; nothing else touches parked
     /// sessions between registration and wake/close.
     pub(crate) fn reactor_loop(shared: &Arc<Shared>, sender: Sender<Session>) {
-        let reactor = shared
-            .reactor
-            .as_ref()
-            .expect("reactor_loop needs a reactor");
+        let reactor = &shared.reactor;
         let idle_timeout = shared.config.idle_timeout;
         let mut slots: Vec<Option<Slot>> = Vec::new();
         let mut free_tokens: Vec<usize> = Vec::new();
@@ -255,7 +250,7 @@ mod fallback {
     use super::*;
 
     /// Stub for non-unix targets: construction fails with
-    /// `Unsupported`, so `serve` falls back to the legacy parker.
+    /// `Unsupported`, so `serve` does too.
     pub(crate) struct Reactor {
         never: std::convert::Infallible,
     }

@@ -216,40 +216,17 @@ fn shutdown_drains_the_parked_population() {
     assert_eq!(handle.stats().connections_active, 0);
 }
 
-/// `/v1/stats` names which idle watcher is running and the fd budget;
-/// under the legacy parker the reactor counters stay zero across a full
-/// park/wake cycle.
+/// `/v1/stats` reports the fd budget; the retired connection-model
+/// switches (`reactor`, `keep_alive`) are no longer part of the body.
 #[test]
-fn stats_surface_the_watcher_mode_and_fd_limit() {
-    let with_reactor = start(ServerConfig::default());
-    let body = stats(with_reactor.local_addr());
-    assert_eq!(body.get("reactor").and_then(|v| v.as_bool()), Some(true));
+fn stats_surface_the_fd_limit() {
+    let handle = start(ServerConfig::default());
+    let body = stats(handle.local_addr());
     #[cfg(unix)]
     assert!(
         body.get("nofile_limit").and_then(|v| v.as_u64()).unwrap() > 0,
         "unix hosts must report a real fd limit"
     );
-    drop(with_reactor);
-
-    let with_parker = start(ServerConfig {
-        reactor: false,
-        ..ServerConfig::default()
-    });
-    let addr = with_parker.local_addr();
-    assert_eq!(
-        stats(addr).get("reactor").and_then(|v| v.as_bool()),
-        Some(false)
-    );
-    let mut conn = Conn::open(addr);
-    assert_eq!(conn.healthz().status, 200);
-    wait_for_stats(addr, "the parker to park the session", |body| {
-        counter(body, "connections_parked") == 1
-    });
-    assert_eq!(conn.healthz().status, 200);
-    wait_for_stats(addr, "the parker wake to drain", |body| {
-        counter(body, "connections_parked") <= 1
-    });
-    let body = stats(addr);
-    assert_eq!(counter(&body, "reactor_wakeups"), 0);
-    assert_eq!(counter(&body, "reactor_spurious_wakeups"), 0);
+    assert!(body.get("reactor").is_none(), "body: {body:?}");
+    assert!(body.get("keep_alive").is_none(), "body: {body:?}");
 }

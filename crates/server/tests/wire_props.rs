@@ -305,17 +305,17 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Reactor / legacy-parker parity on a live wire
+// Park/wake transparency on a live wire
 // ---------------------------------------------------------------------
 
-/// One step of a mirrored live-server session: a request against a
+/// One step of a replayed live-server session: a request against a
 /// deterministic endpoint, or a pause long enough for the worker linger
-/// to elapse — which forces a park/wake cycle through whichever idle
-/// watcher is running.
+/// to elapse — which parks the session with the reactor and wakes it on
+/// the next request.
 #[derive(Debug, Clone)]
-enum ParityOp {
+enum SessionOp {
     /// `(method, path)` against endpoints whose responses carry no
-    /// timing or counter state, so both servers must emit the same
+    /// timing or counter state, so every replay must see the same
     /// bytes. (`/v1/stats` and `/v1/search` are deliberately absent:
     /// their bodies embed counters and per-run timings.)
     Request(&'static str, &'static str),
@@ -323,19 +323,19 @@ enum ParityOp {
     Park,
 }
 
-fn parity_op() -> impl Strategy<Value = ParityOp> {
+fn session_op() -> impl Strategy<Value = SessionOp> {
     prop_oneof![
-        Just(ParityOp::Request("GET", "/v1/healthz")),
-        Just(ParityOp::Request("GET", "/v1/venues")),
-        Just(ParityOp::Request("GET", "/nope")),
-        Just(ParityOp::Request("GET", "/v2/healthz")),
-        Just(ParityOp::Request("POST", "/v1/healthz")),
-        Just(ParityOp::Request("DELETE", "/v1/search")),
-        Just(ParityOp::Park),
+        Just(SessionOp::Request("GET", "/v1/healthz")),
+        Just(SessionOp::Request("GET", "/v1/venues")),
+        Just(SessionOp::Request("GET", "/nope")),
+        Just(SessionOp::Request("GET", "/v2/healthz")),
+        Just(SessionOp::Request("POST", "/v1/healthz")),
+        Just(SessionOp::Request("DELETE", "/v1/search")),
+        Just(SessionOp::Park),
     ]
 }
 
-fn parity_server(reactor: bool) -> ServerHandle {
+fn fig1_server() -> ServerHandle {
     let example = indoor_data::paper_example_venue();
     let service = Arc::new(ikrq_core::IkrqService::new());
     service
@@ -345,50 +345,52 @@ fn parity_server(reactor: bool) -> ServerHandle {
             example.venue.directory.clone(),
         )
         .unwrap();
-    serve(
-        service,
-        "127.0.0.1:0",
-        ServerConfig {
-            reactor,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind ephemeral port")
+    serve(service, "127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral port")
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The reactor is a transport-scheduling change only: the same
-    /// session replayed against a reactor server and a legacy-parker
-    /// server — including park/wake cycles — yields byte-identical
-    /// responses (status, headers and body) at every step.
+    /// Parking is a transport-scheduling matter only: the same session
+    /// replayed twice, once with the `Park` pauses (each a park/wake
+    /// cycle through the reactor) and once straight through, yields
+    /// byte-identical responses (status, headers and body) at every
+    /// request.
     #[test]
-    fn reactor_and_parker_sessions_are_byte_identical(
-        ops in collection::vec(parity_op(), 1..8),
+    fn parked_and_unparked_sessions_are_byte_identical(
+        ops in collection::vec(session_op(), 1..8),
     ) {
-        let with_reactor = parity_server(true);
-        let with_parker = parity_server(false);
-        let mut client_r = KeepAliveClient::new(with_reactor.local_addr());
-        let mut client_p = KeepAliveClient::new(with_parker.local_addr());
-        for op in &ops {
-            match op {
-                ParityOp::Request(method, path) => {
-                    let reply_r = client_r.request(method, path, "").expect("reactor reply");
-                    let reply_p = client_p.request(method, path, "").expect("parker reply");
-                    prop_assert_eq!(reply_r.status, reply_p.status, "status diverged on {}", path);
-                    prop_assert_eq!(&reply_r.headers, &reply_p.headers, "headers diverged on {}", path);
-                    prop_assert_eq!(&reply_r.body, &reply_p.body, "body diverged on {}", path);
+        let server = fig1_server();
+        // Replays the session on a fresh connection, honouring the pauses
+        // or not; returns every reply and the client's dial count.
+        let replay = |pause: bool| {
+            let mut client = KeepAliveClient::new(server.local_addr());
+            let mut replies = Vec::new();
+            for op in &ops {
+                match op {
+                    SessionOp::Request(method, path) => {
+                        replies.push(client.request(method, path, "").expect("reply"));
+                    }
+                    SessionOp::Park if pause => std::thread::sleep(Duration::from_millis(80)),
+                    SessionOp::Park => {}
                 }
-                ParityOp::Park => std::thread::sleep(Duration::from_millis(80)),
             }
+            (replies, client.connects())
+        };
+        let (parked, parked_dials) = replay(true);
+        let (straight, straight_dials) = replay(false);
+        prop_assert_eq!(parked.len(), straight.len());
+        for (reply_p, reply_s) in parked.iter().zip(&straight) {
+            prop_assert_eq!(reply_p.status, reply_s.status);
+            prop_assert_eq!(&reply_p.headers, &reply_s.headers);
+            prop_assert_eq!(&reply_p.body, &reply_s.body);
         }
-        // Park/wake cycles must be transparent: one dial each, however
-        // often the sessions were parked and woken in between. (The
-        // client dials lazily, so a request-free sequence dials zero.)
-        let requests = ops.iter().filter(|op| matches!(op, ParityOp::Request(..))).count();
+        // Park/wake cycles must be transparent: one dial per session,
+        // however often it was parked and woken in between. (The client
+        // dials lazily, so a request-free sequence dials zero.)
+        let requests = ops.iter().filter(|op| matches!(op, SessionOp::Request(..))).count();
         let expected_dials = u64::from(requests > 0);
-        prop_assert_eq!(client_r.connects(), expected_dials);
-        prop_assert_eq!(client_p.connects(), expected_dials);
+        prop_assert_eq!(parked_dials, expected_dials);
+        prop_assert_eq!(straight_dials, expected_dials);
     }
 }
