@@ -92,23 +92,29 @@ impl Search<'_> {
 
     /// Lines 11–17: all keywords covered — find the shortest regular route
     /// from the stamp's tail door to `pt`, respecting the doors already used
-    /// by the route (global regularity check).
+    /// by the route (global regularity check). The door search stops once
+    /// the stamp's distance plus the door-to-door head alone breaks ∆: the
+    /// δd2pt tail is never negative, so no connection past that point can
+    /// pass the `total > ∆` check below.
     fn connect_via_shortest_route(&mut self, stamp: &Stamp) {
         let Some(tail) = stamp.route.tail_door() else {
             return;
         };
         let excluded = stamp.route.door_set();
+        let (base, delta) = (stamp.distance, self.ctx.delta());
         self.state.metrics.dijkstra_calls += 1;
         let Some((suffix_distance, doors, partitions)) = self
             .ctx
             .space
             .shortest_paths()
-            .door_to_point_path(tail, &self.ctx.query.terminal, &excluded)
+            .door_to_point_path_within(tail, &self.ctx.query.terminal, &excluded, |head| {
+                base + head > delta
+            })
         else {
             return;
         };
         let total = stamp.distance + suffix_distance;
-        if total > self.ctx.delta() {
+        if total > delta {
             self.state
                 .metrics
                 .prunes

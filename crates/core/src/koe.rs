@@ -24,6 +24,11 @@ struct Connection {
 /// Shortest-path source from the current stamp: either Dijkstra runs rooted
 /// at the stamp's position, or (for KoE*) the precomputed matrix with lazy
 /// fallback.
+///
+/// Every Dijkstra run here stops at the first distance for which a
+/// connection would fail the `stamp.distance + d > ∆` check that `koe_find`
+/// applies to each connection. Targets the run leaves unsettled fail that
+/// check anyway, so the stamps generated are those of an unbounded run.
 enum KoeSource {
     /// The stamp sits at the start point: one Dijkstra per leavable door of
     /// the start partition, each entry being `(leaving door, δpt2d cost,
@@ -32,10 +37,12 @@ enum KoeSource {
     /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
     FromDoor(DoorId, DijkstraResult),
     /// KoE*: consult the precomputed matrix first; `fallback` is filled in
-    /// lazily when a precomputed path violates regularity.
+    /// lazily when a precomputed path violates regularity. `base` is the
+    /// stamp's distance, which bounds the fallback search.
     Precomputed {
         source: DoorId,
         excluded: HashSet<DoorId>,
+        base: f64,
         fallback: Option<DijkstraResult>,
     },
 }
@@ -120,7 +127,7 @@ impl Search<'_> {
                     self.state.metrics.prunes.record(PruneRule::Regularity);
                     continue;
                 }
-                let Some(connection) = self.resolve_connection(&mut source, stamp, dl) else {
+                let Some(connection) = self.resolve_connection(&mut source, dl) else {
                     continue;
                 };
                 let new_distance = stamp.distance + connection.distance;
@@ -234,6 +241,7 @@ impl Search<'_> {
 
     /// Builds the shortest-path source rooted at the stamp's current position.
     fn koe_source(&mut self, stamp: &Stamp) -> KoeSource {
+        let (base, delta) = (stamp.distance, self.ctx.delta());
         match stamp.route.tail_door() {
             None => {
                 let start_partition = self.ctx.start_partition;
@@ -244,11 +252,11 @@ impl Search<'_> {
                         continue;
                     }
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = self
-                        .ctx
-                        .space
-                        .shortest_paths()
-                        .from_door(dx, &HashSet::new());
+                    let result = self.ctx.space.shortest_paths().from_door_within(
+                        dx,
+                        &HashSet::new(),
+                        |d| base + (cost + d) > delta,
+                    );
                     per_door.push((dx, cost, result));
                 }
                 KoeSource::FromPoint(per_door)
@@ -260,11 +268,16 @@ impl Search<'_> {
                     KoeSource::Precomputed {
                         source: dk,
                         excluded,
+                        base,
                         fallback: None,
                     }
                 } else {
                     self.state.metrics.dijkstra_calls += 1;
-                    let result = self.ctx.space.shortest_paths().from_door(dk, &excluded);
+                    let result =
+                        self.ctx
+                            .space
+                            .shortest_paths()
+                            .from_door_within(dk, &excluded, |d| base + d > delta);
                     KoeSource::FromDoor(dk, result)
                 }
             }
@@ -273,12 +286,7 @@ impl Search<'_> {
 
     /// Resolves the shortest regular connection from the stamp position to the
     /// target door `dl`.
-    fn resolve_connection(
-        &mut self,
-        source: &mut KoeSource,
-        stamp: &Stamp,
-        dl: DoorId,
-    ) -> Option<Connection> {
+    fn resolve_connection(&mut self, source: &mut KoeSource, dl: DoorId) -> Option<Connection> {
         match source {
             KoeSource::FromPoint(per_door) => {
                 let start_partition = self.ctx.start_partition;
@@ -330,6 +338,7 @@ impl Search<'_> {
             KoeSource::Precomputed {
                 source: dk,
                 excluded,
+                base,
                 fallback,
             } => {
                 if *dk == dl {
@@ -355,7 +364,12 @@ impl Search<'_> {
                 }
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
-                    *fallback = Some(self.ctx.space.shortest_paths().from_door(*dk, excluded));
+                    let (base, delta) = (*base, self.ctx.delta());
+                    *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
+                        *dk,
+                        excluded,
+                        |d| base + d > delta,
+                    ));
                 }
                 let result = fallback.as_ref().expect("fallback just filled");
                 let d = result.distance(dl);
@@ -363,7 +377,6 @@ impl Search<'_> {
                     return None;
                 }
                 let (doors, partitions) = result.path_to(dl)?;
-                let _ = stamp;
                 Some(Connection {
                     distance: d,
                     doors,

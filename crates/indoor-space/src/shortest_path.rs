@@ -11,7 +11,9 @@
 //!   point `pt`).
 //!
 //! All of them are built on a single Dijkstra implementation with an
-//! exclusion set.
+//! exclusion set. The `_within` forms stop that search early, at the first
+//! distance the caller's own distance-constraint test rejects; the search
+//! algorithms use them to stop at ∆ instead of settling the whole graph.
 
 use crate::door_graph::DoorGraphEdge;
 use crate::ids::{DoorId, PartitionId};
@@ -43,7 +45,7 @@ impl DijkstraResult {
         self.dist.get(d.index()).copied().unwrap_or(UNREACHABLE)
     }
 
-    /// Shortest distances to all doors.
+    /// Distances to all doors, as [`distance`](Self::distance) reports them.
     pub fn distances(&self) -> &[f64] {
         &self.dist
     }
@@ -88,6 +90,25 @@ impl<'a> ShortestPaths<'a> {
     /// set is how the search algorithms enforce the global regularity
     /// principle: doors already used by a partial route may not be revisited.
     pub fn from_door(&self, source: DoorId, excluded: &HashSet<DoorId>) -> DijkstraResult {
+        self.from_door_within(source, excluded, |_| false)
+    }
+
+    /// [`from_door`](Self::from_door) that stops at the first popped
+    /// distance for which `beyond` holds. `beyond` must be monotone: once it
+    /// holds for a distance it holds for every larger one.
+    ///
+    /// Every door whose shortest distance `d` has `!beyond(d)` then reports
+    /// the same distance and path as the unbounded run: the heap pops in
+    /// `(distance, DoorId)` order and a predecessor only moves on a strict
+    /// improvement, so the run is the unbounded one up to the stop. Every
+    /// other door reports [`UNREACHABLE`] or a tentative distance no smaller
+    /// than the stopping one, which `beyond` rejects as well.
+    pub fn from_door_within(
+        &self,
+        source: DoorId,
+        excluded: &HashSet<DoorId>,
+        beyond: impl Fn(f64) -> bool,
+    ) -> DijkstraResult {
         let n = self.space.num_doors();
         let graph = self.space.door_graph();
         let mut dist = vec![UNREACHABLE; n];
@@ -99,6 +120,9 @@ impl<'a> ShortestPaths<'a> {
         }
         while let Some(Reverse((d, u))) = heap.pop() {
             let d = d.get();
+            if beyond(d) {
+                break;
+            }
             if d > dist[u.index()] {
                 continue;
             }
@@ -156,8 +180,24 @@ impl<'a> ShortestPaths<'a> {
         pt: &IndoorPoint,
         excluded: &HashSet<DoorId>,
     ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
+        self.door_to_point_path_within(from, pt, excluded, |_| false)
+    }
+
+    /// [`door_to_point_path`](Self::door_to_point_path) whose door search
+    /// stops where `beyond` first holds for the door-to-door part (see
+    /// [`from_door_within`](Self::from_door_within)). The answer equals the
+    /// unbounded one whenever `beyond` fails for the unbounded answer's total
+    /// distance, because the δd2pt tail is never negative; otherwise it is
+    /// `None` or a connection at least as long as the unbounded one.
+    pub fn door_to_point_path_within(
+        &self,
+        from: DoorId,
+        pt: &IndoorPoint,
+        excluded: &HashSet<DoorId>,
+        beyond: impl Fn(f64) -> bool,
+    ) -> Option<(f64, Vec<DoorId>, Vec<PartitionId>)> {
         let host = self.space.host_partition(pt).ok()?;
-        let result = self.from_door(from, excluded);
+        let result = self.from_door_within(from, excluded, beyond);
         let mut best: Option<(f64, DoorId)> = None;
         for &de in self.space.p2d_enter(host) {
             if excluded.contains(&de) && de != from {
@@ -177,7 +217,7 @@ impl<'a> ShortestPaths<'a> {
             }
         }
         let (total, de) = best?;
-        let (mut doors, mut partitions) = if de == from {
+        let (doors, mut partitions) = if de == from {
             (vec![from], Vec::new())
         } else {
             result.path_to(de)?
@@ -186,15 +226,7 @@ impl<'a> ShortestPaths<'a> {
         // The point itself is not a door; callers append it to the route. We
         // still return the door sequence ending at the entry door.
         debug_assert_eq!(doors.last(), Some(&de));
-        doors.shrink_to_fit();
         Some((total, doors, partitions))
-    }
-
-    /// Shortest distance from door `from` to point `pt` (no path).
-    pub fn door_to_point(&self, from: DoorId, pt: &IndoorPoint, excluded: &HashSet<DoorId>) -> f64 {
-        self.door_to_point_path(from, pt, excluded)
-            .map(|(d, _, _)| d)
-            .unwrap_or(UNREACHABLE)
     }
 }
 
@@ -280,10 +312,6 @@ mod tests {
         assert!(approx_eq(d, 25.0));
         assert_eq!(doors.last(), Some(&DoorId(2)));
         assert_eq!(parts.last(), Some(&PartitionId(3)));
-        assert!(approx_eq(
-            sp.door_to_point(DoorId(0), &pt, &HashSet::new()),
-            25.0
-        ));
     }
 
     #[test]
