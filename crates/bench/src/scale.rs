@@ -17,19 +17,17 @@
 //! sweep doubles as a large-scale equivalence check.
 //!
 //! Each point also walks the full persistence round trip — document
-//! round-trip rebuild, pre-indexed binary save, cold load with index
-//! adoption — and splits the cold-start wall time into
+//! round-trip rebuild, pre-indexed binary save, cold load with model and
+//! index adoption — and splits the cold-start wall time into
 //! generate / space-build / index-build / save / load phases, so the
 //! `index_build_ms ≥ 5 × index_load_ms` serving criterion is measured in
 //! the same run that checks loaded-engine responses for byte-identity.
 //!
-//! The v2 columnar format gets the same treatment for the document body:
-//! each point saves a columnar file, cold-loads it with
-//! [`binary::load_venue_model`], and splits that load into its *doc-decode*
-//! (bytes → columns) and *model-adopt* (columns → model) phases. The
-//! document criterion compares their sum against the v1-style
-//! record-rebuild (`VenueDocument::build`), and the v2-loaded engine's
-//! responses join the byte-identity check.
+//! The model section gets the same treatment: each point cold-loads the
+//! binary file with [`binary::load_venue_model`] and splits that load into
+//! its *doc-decode* (bytes → columns) and *model-adopt* (columns → model)
+//! phases. The document criterion compares their sum against rebuilding
+//! the model from the JSON document (`VenueDocument::build`).
 
 use crate::workload::to_query;
 use ikrq_core::{ExecOptions, IkrqEngine, IkrqService, IndexMode, SearchRequest, VariantConfig};
@@ -100,38 +98,35 @@ pub struct ScalePoint {
     pub koe_star_total_rows: usize,
     /// Pre-indexed binary encode + write time in milliseconds.
     pub save_ms: f64,
-    /// Full cold load in milliseconds: read the file, decode the document,
-    /// rebuild space + directory, adopt the persisted index.
+    /// Full cold load in milliseconds: read the file, adopt the model
+    /// section, adopt the persisted index.
     pub load_ms: f64,
     /// Index acquisition alone in milliseconds (best of a few rounds):
-    /// decode the persisted section and adopt it against the rebuilt
+    /// decode the persisted section and adopt it against the loaded
     /// directory. The serving criterion compares this against
     /// `index_build_ms`.
     pub index_load_ms: f64,
-    /// v2 columnar doc-decode phase in milliseconds (best of a few rounds):
+    /// Model-section decode phase in milliseconds (best of a few rounds):
     /// bytes → validated columns.
     pub doc_decode_ms: f64,
-    /// v2 columnar model-adopt phase in milliseconds (best of a few
-    /// rounds): columns → space + directory.
+    /// Model-adopt phase in milliseconds (best of a few rounds): columns →
+    /// space + directory.
     pub model_adopt_ms: f64,
-    /// v1-style record rebuild in milliseconds (best of a few rounds):
-    /// `VenueDocument::build` on the loaded document. The document
-    /// criterion compares this against `doc_decode_ms + model_adopt_ms`.
+    /// Model rebuild from the JSON document in milliseconds (best of a few
+    /// rounds): `VenueDocument::build`. The document criterion compares
+    /// this against `doc_decode_ms + model_adopt_ms`.
     pub doc_rebuild_ms: f64,
-    /// Whether every v2 cold load adopted the columnar section (no
-    /// degradation to a record rebuild).
+    /// Whether every cold load reported an adopted model section.
     pub columnar_adopted: bool,
-    /// Whether every response from the v2-loaded engine was byte-identical
-    /// to the scan response.
-    pub columnar_identical: bool,
     /// Process peak resident set (`VmHWM`) in KiB after this point ran.
     /// A high-water mark, so it is monotone across a multi-size sweep.
     pub peak_rss_kib: u64,
     /// Whether every accelerated response was byte-identical to the scan
     /// response (deterministic fields only).
     pub identical_responses: bool,
-    /// Whether every response from the engine that adopted the persisted
-    /// index was byte-identical to the scan response.
+    /// Whether every response from the engine loaded from the binary file
+    /// (adopted model and persisted index) was byte-identical to the scan
+    /// response.
     pub loaded_identical: bool,
 }
 
@@ -283,48 +278,48 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
             .expect("KoE* probe succeeds");
     }
 
-    // Persistence round trip: capture the venue as a document, save it with
-    // a pre-built index section, cold-load it back, and answer the same
-    // workload through the loaded engine.
+    // Persistence round trip: capture the venue as a document, save it as a
+    // binary file with a pre-built index section, cold-load it back, and
+    // answer the same workload through the loaded engine.
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 32.0, Some("sweep".into()));
     let space_build_start = Instant::now();
     let (doc_space, doc_directory) = doc.build().expect("sweep documents round-trip");
     let space_build_ms = ms_since(space_build_start);
-    // The persisted index must bind to the document-rebuilt directory
-    // (interned ids are insertion-order artifacts), so build the section's
-    // index from the round-tripped pair, exactly as `generate --save-indexed`
-    // does.
+    // The file must hold the document-rebuilt model (interned ids are
+    // insertion-order artifacts), with an index built against it, exactly
+    // as `generate --save-indexed` writes it.
     let fresh = IkrqEngine::new(doc_space, doc_directory);
     let fresh_index = fresh.index().expect("accelerated engine has an index");
-    let venue_only_len = binary::encode_venue(&doc)
+    // The index section starts where a file without one ends.
+    let model_len = binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), None)
         .expect("sweep documents encode")
         .len();
 
     let tmp = std::env::temp_dir().join(format!("ikrq-scale-{size}-seed{seed}.bin"));
     let save_start = Instant::now();
-    let payload = binary::encode_venue_with_index(&doc, fresh_index, fresh.directory())
-        .expect("sweep documents encode");
+    let payload =
+        binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(fresh_index))
+            .expect("sweep documents encode");
     std::fs::write(&tmp, &payload).expect("temp dir is writable");
     let save_ms = ms_since(save_start);
 
     let load_start = Instant::now();
     let disk = std::fs::read(&tmp).expect("saved venue reads back");
-    let (loaded_doc, section) = binary::decode_venue_file(&disk).expect("saved venue decodes");
-    let (loaded_space, loaded_directory) = loaded_doc.build().expect("loaded documents round-trip");
-    let IndexSection::Present(prebuilt) = section else {
+    let loaded = binary::load_venue_model(&disk).expect("saved venue loads");
+    let IndexSection::Present(prebuilt) = loaded.index else {
         panic!("saved venue carries a usable index section");
     };
     let loaded_index = prebuilt
-        .into_index(&loaded_directory)
-        .expect("persisted index binds to the rebuilt directory");
+        .into_index(&loaded.directory)
+        .expect("persisted index binds to the adopted directory");
     let load_ms = ms_since(load_start);
     let _ = std::fs::remove_file(&tmp);
 
     // Index acquisition alone, on the same disk bytes: section decode plus
-    // adoption, without the document work both paths share. Both sides of
-    // the serving criterion take the best of a few rounds — one-shot wall
-    // times on a shared machine are dominated by scheduler and frequency
-    // noise, and steady-state is what a warm serving process sees.
+    // adoption, without the model work. Both sides of each criterion take
+    // the best of a few rounds — one-shot wall times on a shared machine
+    // are dominated by scheduler and frequency noise, and steady-state is
+    // what a warm serving process sees.
     const TIMING_ROUNDS: usize = 7;
     let mut index_build_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
@@ -336,19 +331,38 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
     let mut index_load_ms = f64::INFINITY;
     for _ in 0..TIMING_ROUNDS {
         let index_load_start = Instant::now();
-        let reloaded = match index_section::decode_index_section(&disk[venue_only_len..]) {
+        let reloaded = match index_section::decode_index_section(&disk[model_len..]) {
             IndexSection::Present(prebuilt) => prebuilt
-                .into_index(&loaded_directory)
-                .expect("persisted index binds to the rebuilt directory"),
+                .into_index(&loaded.directory)
+                .expect("persisted index binds to the adopted directory"),
             other => panic!("saved index section decodes: {other:?}"),
         };
         index_load_ms = index_load_ms.min(ms_since(index_load_start));
         drop(reloaded);
     }
 
+    // The document criterion: model-section decode + adopt against the
+    // rebuild from the JSON document.
+    let mut doc_decode_ms = f64::INFINITY;
+    let mut model_adopt_ms = f64::INFINITY;
+    let mut columnar_adopted = true;
+    for _ in 0..TIMING_ROUNDS {
+        let round = binary::load_venue_model(&disk).expect("saved venue loads");
+        columnar_adopted &= round.stats.adopted_columnar;
+        doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
+        model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
+    }
+    let mut doc_rebuild_ms = f64::INFINITY;
+    for _ in 0..TIMING_ROUNDS {
+        let rebuild_start = Instant::now();
+        let rebuilt = doc.build().expect("sweep documents round-trip");
+        doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
+        drop(rebuilt);
+    }
+
     let loaded_engine = Arc::new(IkrqEngine::with_prebuilt_index(
-        loaded_space,
-        loaded_directory,
+        loaded.space,
+        loaded.directory,
         loaded_index,
     ));
     let loaded_service = IkrqService::new();
@@ -357,55 +371,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         .expect("fresh service accepts the venue");
     let loaded_identical = requests.iter().zip(&scan_responses).all(|(r, scan)| {
         let response = loaded_service.search(r).expect("loaded query succeeds");
-        response.deterministic_json() == scan.deterministic_json()
-    });
-
-    // v2 columnar round trip: save the same document with a columnar body,
-    // cold-load it, and split that load into its decode and adopt phases.
-    // The document criterion compares decode + adopt against the v1-style
-    // record rebuild, best of a few rounds on both sides.
-    let disk2 =
-        binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(fresh_index))
-            .expect("sweep documents encode as columnar");
-    let mut doc_decode_ms = f64::INFINITY;
-    let mut model_adopt_ms = f64::INFINITY;
-    let mut columnar_adopted = true;
-    for _ in 0..TIMING_ROUNDS {
-        let round = binary::load_venue_model(&disk2).expect("columnar venue loads");
-        columnar_adopted &= round.stats.adopted_columnar && round.stats.degraded.is_none();
-        doc_decode_ms = doc_decode_ms.min(round.stats.decode_micros as f64 / 1e3);
-        model_adopt_ms = model_adopt_ms.min(round.stats.adopt_micros as f64 / 1e3);
-    }
-    let mut doc_rebuild_ms = f64::INFINITY;
-    for _ in 0..TIMING_ROUNDS {
-        let rebuild_start = Instant::now();
-        let rebuilt = loaded_doc.build().expect("loaded documents round-trip");
-        doc_rebuild_ms = doc_rebuild_ms.min(ms_since(rebuild_start));
-        drop(rebuilt);
-    }
-
-    // The v2-loaded engine (columnar model + persisted index) joins the
-    // byte-identity check against the scan responses.
-    let v2 = binary::load_venue_model(&disk2).expect("columnar venue loads");
-    let v2_index = match v2.index {
-        IndexSection::Present(prebuilt) => prebuilt
-            .into_index(&v2.directory)
-            .expect("persisted index binds to the adopted directory"),
-        other => panic!("columnar venue carries a usable index section: {other:?}"),
-    };
-    let v2_engine = Arc::new(IkrqEngine::with_prebuilt_index(
-        v2.space,
-        v2.directory,
-        v2_index,
-    ));
-    let v2_service = IkrqService::new();
-    v2_service
-        .register_engine("sweep", Arc::clone(&v2_engine))
-        .expect("fresh service accepts the venue");
-    let columnar_identical = requests.iter().zip(&scan_responses).all(|(r, scan)| {
-        let response = v2_service
-            .search(r)
-            .expect("columnar-loaded query succeeds");
         response.deterministic_json() == scan.deterministic_json()
     });
 
@@ -432,7 +397,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         model_adopt_ms,
         doc_rebuild_ms,
         columnar_adopted,
-        columnar_identical,
         peak_rss_kib: peak_rss_kib(),
         identical_responses: identical,
         loaded_identical,
@@ -472,10 +436,7 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
             p.koe_star_rows,
             p.koe_star_total_rows,
             p.peak_rss_kib / 1024,
-            p.identical_responses
-                && p.loaded_identical
-                && p.columnar_identical
-                && p.columnar_adopted,
+            p.identical_responses && p.loaded_identical && p.columnar_adopted,
         ));
     }
     out
@@ -506,15 +467,11 @@ mod tests {
         );
         assert!(
             p.loaded_identical,
-            "the loaded-index path must agree with the scan path byte-for-byte"
+            "the binary-loaded path must agree with the scan path byte-for-byte"
         );
         assert!(
             p.columnar_adopted,
-            "v2 cold loads must adopt the columnar section"
-        );
-        assert!(
-            p.columnar_identical,
-            "the columnar-loaded path must agree with the scan path byte-for-byte"
+            "cold loads must adopt the model section"
         );
         assert!(p.generate_ms > 0.0 && p.space_build_ms > 0.0);
         assert!(p.save_ms > 0.0 && p.load_ms > 0.0 && p.index_load_ms > 0.0);

@@ -17,12 +17,15 @@ use indoor_data::{
     Venue,
 };
 use indoor_keywords::{KeywordDirectory, QueryKeywords};
-use indoor_persist::{binary, json, ResultDocument, VenueDocument};
+use indoor_persist::{
+    binary, json, DocumentLoadStats, IndexSection, LoadedVenue, ResultDocument, VenueDocument,
+};
 use indoor_space::{FloorId, IndoorPoint, IndoorSpace};
 use indoor_viz::{render_floor, render_routes_on_floor, RenderStyle};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// The usage text printed by `ikrq help`.
 pub const USAGE: &str = "\
@@ -36,13 +39,12 @@ COMMANDS:
                --kind example|synthetic|real|mega   (default: synthetic)
                --floors N   --seed S           (synthetic/real/mega)
                --partitions N                  target partition count (mega only)
-               --out PATH                      output file
-               --binary                        write the compact binary format
-               --save-indexed PATH             also write the binary format with a
-                                               pre-built index section appended
-                                               (serve loads it instead of rebuilding)
+               --out PATH                      write the JSON document
+               --save-indexed PATH             write the binary venue file: the built
+                                               model plus a pre-built index section
+                                               (serve adopts both instead of rebuilding)
     stats      Print venue statistics
-               --venue PATH                    venue document (json or binary)
+               --venue PATH                    venue file (json or binary)
     query      Run an IKRQ against a venue
                --venue PATH                    venue document
                --from x,y[,floor]  --to x,y[,floor]
@@ -162,7 +164,7 @@ fn build_venue(args: &ParsedArgs) -> Result<(Venue, String, f64)> {
 }
 
 fn generate(args: &ParsedArgs) -> Result<String> {
-    args.reject_unknown(&["kind floors seed partitions out binary save-indexed"])?;
+    args.reject_unknown(&["kind floors seed partitions out save-indexed"])?;
     let out = args.get("out").map(str::to_string);
     let save_indexed = args.get("save-indexed").map(str::to_string);
     if out.is_none() && save_indexed.is_none() {
@@ -174,11 +176,7 @@ fn generate(args: &ParsedArgs) -> Result<String> {
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, grid_cell, Some(name));
     let mut report = String::new();
     if let Some(out) = &out {
-        if args.switch("binary") {
-            binary::save_venue_binary(&doc, out)?;
-        } else {
-            json::save_venue_json(&doc, out)?;
-        }
+        json::save_venue_json(&doc, out)?;
         let _ = writeln!(
             report,
             "wrote {} ({} partitions, {} doors, {} i-words, {} t-words)",
@@ -190,10 +188,10 @@ fn generate(args: &ParsedArgs) -> Result<String> {
         );
     }
     if let Some(path) = &save_indexed {
-        // The persisted index must bind to the directory a loader will
-        // rebuild from the document (interned word ids are insertion-order
-        // artifacts), so build it from the round-tripped document rather
-        // than the generator's in-memory venue.
+        // The binary file must hold the model a loader of the JSON document
+        // rebuilds (interned word ids are insertion-order artifacts), so
+        // build it from the round-tripped document rather than the
+        // generator's in-memory venue.
         let (space, directory) = doc.build()?;
         let engine = ikrq_core::IkrqEngine::new(space, directory);
         let index = engine
@@ -216,113 +214,60 @@ fn generate(args: &ParsedArgs) -> Result<String> {
 // stats
 // ---------------------------------------------------------------------
 
-/// Loads a venue document from JSON or the binary format, deciding by
-/// extension first and falling back to the other decoder.
-pub fn load_venue_document(path: &str) -> Result<VenueDocument> {
-    let looks_binary = Path::new(path)
-        .extension()
-        .map(|e| e == "bin" || e == "ikrq")
-        .unwrap_or(false);
-    let first = if looks_binary {
-        binary::load_venue_binary(path)
-    } else {
-        json::load_venue_json(path)
-    };
-    match first {
-        Ok(doc) => Ok(doc),
-        Err(first_err) => {
-            let second = if looks_binary {
-                json::load_venue_json(path)
-            } else {
-                binary::load_venue_binary(path)
-            };
-            second.map_err(|_| CliError::Persist(first_err))
+/// Loads a venue file into its in-memory model, reading it once. The first
+/// bytes pick the decoder: a binary venue file (`IKRQVEN\0`) goes to
+/// [`binary::load_venue_model`], which adopts its model section; anything
+/// else is read as a JSON document and rebuilt with
+/// [`VenueDocument::build`] (format version 0, no index section). The error
+/// is the picked decoder's, tagged with the path.
+fn load_venue(path: &str) -> Result<LoadedVenue> {
+    let load = || -> indoor_persist::Result<LoadedVenue> {
+        let bytes = std::fs::read(path)?;
+        if bytes.starts_with(binary::VENUE_MAGIC) {
+            return binary::load_venue_model(&bytes);
         }
-    }
-}
-
-fn load_engine(path: &str) -> Result<(IndoorSpace, KeywordDirectory, Option<String>)> {
-    let doc = load_venue_document(path)?;
-    let name = doc.name.clone();
-    let (space, directory) = doc.build()?;
-    Ok((space, directory, name))
-}
-
-/// Loads a venue file straight into its in-memory model plus the optional
-/// pre-built index section. Binary files go through
-/// [`binary::load_venue_model_file`] (which adopts a v2 columnar section when
-/// present and degrades to a record rebuild otherwise); anything else falls
-/// back to the JSON document path, reported as format version 0.
-fn load_serving_model(
-    path: &str,
-) -> Result<(
-    Option<String>,
-    IndoorSpace,
-    KeywordDirectory,
-    indoor_persist::IndexSection,
-    ikrq_core::DocumentStats,
-)> {
-    match binary::load_venue_model_file(path) {
-        Ok(loaded) => {
-            let stats = ikrq_core::DocumentStats {
-                format_version: loaded.stats.format_version,
-                adopted_columnar: loaded.stats.adopted_columnar,
-                decode_micros: loaded.stats.decode_micros,
-                adopt_micros: loaded.stats.adopt_micros,
-                degraded: loaded.stats.degraded,
-            };
-            Ok((
-                loaded.name,
-                loaded.space,
-                loaded.directory,
-                loaded.index,
-                stats,
-            ))
-        }
-        Err(_) => {
-            let started = std::time::Instant::now();
-            let doc = load_venue_document(path)?;
-            let decode_micros = started.elapsed().as_micros() as u64;
-            let name = doc.name.clone();
-            let started = std::time::Instant::now();
-            let (space, directory) = doc.build()?;
-            let adopt_micros = started.elapsed().as_micros() as u64;
-            let stats = ikrq_core::DocumentStats {
+        let started = Instant::now();
+        let text = String::from_utf8(bytes)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        let doc: VenueDocument = json::from_json_str(&text)?;
+        let decode_micros = started.elapsed().as_micros() as u64;
+        let started = Instant::now();
+        let (space, directory) = doc.build()?;
+        Ok(LoadedVenue {
+            name: doc.name,
+            space,
+            directory,
+            index: IndexSection::Absent,
+            stats: DocumentLoadStats {
                 format_version: 0,
                 adopted_columnar: false,
                 decode_micros,
-                adopt_micros,
+                adopt_micros: started.elapsed().as_micros() as u64,
                 degraded: None,
-            };
-            Ok((
-                name,
-                space,
-                directory,
-                indoor_persist::IndexSection::Absent,
-                stats,
-            ))
-        }
-    }
+            },
+        })
+    };
+    load().map_err(|error| CliError::Venue(path.to_string(), error))
 }
 
 /// Builds a serving engine for a venue file, adopting a usable persisted
-/// columnar document body and index section instead of rebuilding. Any
-/// section defect (corruption, version skew, directory mismatch) degrades to
-/// a fresh build with a warning on stderr — a stale section never prevents a
-/// venue from serving.
+/// index section instead of rebuilding. A defective model section fails
+/// the load; an index-section defect (corruption, version skew, directory
+/// mismatch) degrades to a fresh index build with a warning on stderr.
 fn build_serving_engine(
     path: &str,
     index_mode: ikrq_core::IndexMode,
     koe_rows_cap: Option<usize>,
 ) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
-    let (name, space, directory, section, stats) = load_serving_model(path)?;
-    if let Some(reason) = &stats.degraded {
-        eprintln!(
-            "warning: {path}: columnar document not adopted ({reason}); rebuilt from records"
-        );
-    }
+    let LoadedVenue {
+        name,
+        space,
+        directory,
+        index: section,
+        stats,
+    } = load_venue(path)?;
     let mut engine = match (index_mode, section) {
-        (ikrq_core::IndexMode::Accelerated, indoor_persist::IndexSection::Present(prebuilt)) => {
+        (ikrq_core::IndexMode::Accelerated, IndexSection::Present(prebuilt)) => {
             match prebuilt.into_index(&directory) {
                 Ok(index) => ikrq_core::IkrqEngine::with_prebuilt_index(space, directory, index),
                 Err(reason) => {
@@ -332,7 +277,7 @@ fn build_serving_engine(
             }
         }
         (mode, section) => {
-            if let indoor_persist::IndexSection::Unusable(reason) = &section {
+            if let IndexSection::Unusable(reason) = &section {
                 eprintln!("warning: {path}: persisted index not loaded ({reason}); rebuilding");
             }
             ikrq_core::IkrqEngine::with_index_mode(space, directory, mode)
@@ -341,14 +286,24 @@ fn build_serving_engine(
     if let Some(cap) = koe_rows_cap {
         engine.set_koe_rows_cap(cap);
     }
-    engine.set_document_stats(stats);
+    engine.set_document_stats(ikrq_core::DocumentStats {
+        format_version: stats.format_version,
+        adopted_columnar: stats.adopted_columnar,
+        decode_micros: stats.decode_micros,
+        adopt_micros: stats.adopt_micros,
+    });
     Ok((engine, name))
 }
 
 fn stats(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown(&["venue"])?;
     let path = args.require("venue")?;
-    let (space, directory, name) = load_engine(path)?;
+    let LoadedVenue {
+        name,
+        space,
+        directory,
+        ..
+    } = load_venue(path)?;
     let stats = space.stats();
     let mut report = String::new();
     let _ = writeln!(report, "venue: {}", name.as_deref().unwrap_or(path));
@@ -474,7 +429,12 @@ fn describe_route(
 /// returning the service, the venue id it is registered under, and the
 /// shared engine (for extension paths and route descriptions).
 fn load_service(path: &str) -> Result<(IkrqService, String, Arc<ikrq_core::IkrqEngine>)> {
-    let (space, directory, name) = load_engine(path)?;
+    let LoadedVenue {
+        name,
+        space,
+        directory,
+        ..
+    } = load_venue(path)?;
     let venue_id = name.unwrap_or_else(|| path.to_string());
     let service = IkrqService::new();
     let engine = service
@@ -839,7 +799,9 @@ fn render(args: &ParsedArgs) -> Result<String> {
     let path = args.require("venue")?;
     let out = args.require("out")?.to_string();
     let floor = FloorId(args.get_i32("floor")?.unwrap_or(0));
-    let (space, directory, _) = load_engine(path)?;
+    let LoadedVenue {
+        space, directory, ..
+    } = load_venue(path)?;
 
     let mut style = RenderStyle::default();
     if args.switch("no-labels") {
@@ -889,6 +851,7 @@ fn render(args: &ParsedArgs) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use indoor_persist::PersistError;
 
     #[test]
     fn usage_mentions_every_command() {
@@ -985,9 +948,8 @@ mod tests {
         assert_eq!(loaded.koe_rows_capacity(), 64);
         assert_eq!(name.as_deref(), Some("mega-150p-seed9"));
         let doc_stats = loaded.document_stats().expect("loaded from a document");
-        assert_eq!(doc_stats.format_version, 2);
+        assert_eq!(doc_stats.format_version, binary::FILE_VERSION);
         assert!(doc_stats.adopted_columnar, "stats: {doc_stats:?}");
-        assert!(doc_stats.degraded.is_none(), "stats: {doc_stats:?}");
         let (fresh, _) =
             build_serving_engine(&json_path, ikrq_core::IndexMode::Accelerated, None).unwrap();
         assert!(fresh.index().is_some_and(|i| !i.loaded_from_disk()));
@@ -1038,7 +1000,7 @@ mod tests {
         }
 
         // Corrupting the index section degrades it to a rebuild, not a
-        // failure — and leaves the columnar document adoption intact.
+        // failure — and leaves the model adoption intact.
         let mut bytes = std::fs::read(&bin).unwrap();
         let n = bytes.len();
         bytes[n - 5] ^= 0xff;
@@ -1048,16 +1010,17 @@ mod tests {
         assert!(degraded.index().is_some_and(|i| !i.loaded_from_disk()));
         assert!(degraded.document_stats().unwrap().adopted_columnar);
 
-        // Corrupting the columnar section degrades the document to a record
-        // rebuild — the venue still serves.
-        let record_len = u32::from_le_bytes(bytes[10..14].try_into().unwrap()) as usize;
-        bytes[14 + record_len + 20] ^= 0xff;
+        // Corrupting the model section fails the load with an error naming
+        // the file and the defect.
+        bytes[30] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (rebuilt, _) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None).unwrap();
-        let stats = rebuilt.document_stats().unwrap();
-        assert!(!stats.adopted_columnar, "stats: {stats:?}");
-        assert!(stats.degraded.is_some(), "stats: {stats:?}");
+        let Err(error) = build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None) else {
+            panic!("a damaged model section must fail the load");
+        };
+        assert!(
+            matches!(&error, CliError::Venue(path, PersistError::Binary(_)) if *path == bin),
+            "{error:?}"
+        );
 
         std::fs::remove_dir_all(&dir).ok();
     }

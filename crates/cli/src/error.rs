@@ -13,6 +13,8 @@ pub enum CliError {
     Io(std::io::Error),
     /// Persistence error (loading or saving a document).
     Persist(indoor_persist::PersistError),
+    /// A venue file failed to load; names the file.
+    Venue(String, indoor_persist::PersistError),
     /// Engine error while answering a query.
     Engine(ikrq_core::EngineError),
     /// Keyword error (e.g. an empty keyword list).
@@ -32,6 +34,7 @@ impl fmt::Display for CliError {
             }
             CliError::Io(e) => write!(f, "i/o error: {e}"),
             CliError::Persist(e) => write!(f, "persistence error: {e}"),
+            CliError::Venue(path, e) => write!(f, "cannot load venue file `{path}`: {e}"),
             CliError::Engine(e) => write!(f, "query error: {e}"),
             CliError::Keyword(e) => write!(f, "keyword error: {e}"),
             CliError::Space(e) => write!(f, "space error: {e}"),
@@ -44,7 +47,7 @@ impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CliError::Io(e) => Some(e),
-            CliError::Persist(e) => Some(e),
+            CliError::Persist(e) | CliError::Venue(_, e) => Some(e),
             CliError::Engine(e) => Some(e),
             CliError::Keyword(e) => Some(e),
             CliError::Space(e) => Some(e),

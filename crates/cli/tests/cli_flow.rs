@@ -225,14 +225,27 @@ fn binary_venue_documents_work_end_to_end() {
         "generate",
         "--kind",
         "example",
-        "--binary",
-        "--out",
+        "--save-indexed",
         venue_path.as_str(),
     ])
     .unwrap();
-    // The stats command auto-detects the binary format.
+    // The stats command picks the binary decoder from the file's magic.
     let report = run_args(["stats", "--venue", venue_path.as_str()]).unwrap();
     assert!(report.contains("partitions: 12"));
+
+    // A damaged binary file reports the binary decoder's error, naming the
+    // file — not a JSON parse error from a second attempt.
+    let mut bytes = std::fs::read(&venue_path).unwrap();
+    bytes[30] ^= 0xff;
+    std::fs::write(&venue_path, &bytes).unwrap();
+    match run_args(["stats", "--venue", venue_path.as_str()]) {
+        Err(error @ CliError::Venue(..)) => {
+            let message = error.to_string();
+            assert!(message.contains(venue_path.as_str()), "{message}");
+            assert!(message.contains("checksum"), "{message}");
+        }
+        other => panic!("a damaged binary file must fail its load, got {other:?}"),
+    }
 }
 
 #[test]
@@ -383,6 +396,18 @@ fn unknown_and_removed_flags_are_usage_errors() {
     );
     assert_rejects(
         run_args(["stats", "--venue", venue_path.as_str(), "--binary"]),
+        "binary",
+    );
+    // `generate --binary` wrote the retired record format.
+    assert_rejects(
+        run_args([
+            "generate",
+            "--kind",
+            "example",
+            "--out",
+            venue_path.as_str(),
+            "--binary",
+        ]),
         "binary",
     );
 

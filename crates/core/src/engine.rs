@@ -45,18 +45,16 @@ impl IndexMode {
 /// directly from in-memory models have none.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocumentStats {
-    /// File format version the venue was loaded from (`2` columnar binary,
-    /// `1` record binary, `0` JSON).
+    /// File format version the venue was loaded from (`3` binary, `0`
+    /// JSON).
     pub format_version: u16,
-    /// Whether the model was adopted from a columnar document section
-    /// rather than rebuilt from records.
+    /// Whether the model was adopted from a binary file's model section
+    /// rather than rebuilt from a JSON document.
     pub adopted_columnar: bool,
-    /// Microseconds spent decoding bytes into records or columns.
+    /// Microseconds spent decoding bytes into a document or columns.
     pub decode_micros: u64,
     /// Microseconds spent turning the decoded form into the model.
     pub adopt_micros: u64,
-    /// Why a columnar file fell back to the record rebuild, when it did.
-    pub degraded: Option<String>,
 }
 
 /// Point-in-time index observability for one engine, shaped for `/v1/stats`.

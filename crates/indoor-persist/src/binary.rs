@@ -1,61 +1,31 @@
-//! Compact binary codec for [`VenueDocument`]s.
+//! Binary venue files: the built venue model, adopted without a rebuild.
 //!
-//! The JSON representation of a full synthetic venue (≈700 partitions,
-//! ≈1100 doors, ≈1200 i-words with ≈9000 t-word strings) runs to several
-//! megabytes; this codec stores the same document in a flat little-endian
-//! layout at a fraction of the size and parses without an intermediate DOM.
-//!
-//! Version 1 layout (all integers little-endian):
+//! Layout (all integers little-endian, full reference in `docs/PERSIST.md`):
 //!
 //! ```text
 //! magic            8 bytes  b"IKRQVEN\0"
-//! format version   u16
-//! name             optional string (u8 tag + string)
-//! grid cell        f64
-//! floors           u32 count, then per floor: i32 floor, 4×f64 bounds
-//! partitions       u32 count, then per partition:
-//!                    u32 id, i32 floor, u8 kind, 4×f64 footprint,
-//!                    optional string name
-//! doors            u32 count, then per door: u32 id, 2×f64, i32 floor, u8 kind
-//! connections      u32 count, then per connection: u32 door, u32 partition, u8 flags
-//! intra overrides  u32 count, then u32 partition, u32 from, u32 to, f64
-//! loop overrides   u32 count, then u32 partition, u32 door, f64
-//! keywords         u32 count, then per i-word:
-//!                    string iword, u32 partition count + u32s,
-//!                    u32 t-word count + strings
+//! file version     u16 = 3
+//! model section    b"IKRQCOL\0" + u16 version + u32 len + body + u64 checksum
+//!                  (see crate::columnar)
+//! index section    optional, see crate::index_section
 //! ```
 //!
-//! Strings are a `u32` byte length followed by UTF-8 bytes.
-//!
-//! Version 2 keeps the exact same record body but wraps it for the columnar
-//! cold-start path (see [`crate::columnar`] and `docs/PERSIST.md`):
-//!
-//! ```text
-//! magic            8 bytes  b"IKRQVEN\0"
-//! format version   u16 = 2
-//! record body len  u32 (advisory: lets loaders jump to the sections)
-//! record body      the v1 fields, name through keywords
-//! columnar section b"IKRQCOL\0" + u16 version + u32 len + body + u64 checksum
-//! index section    optional, as in v1
-//! ```
-//!
-//! [`load_venue_model`] adopts the columnar section directly — the record
-//! body is skipped entirely on the fast path, and decoded only when the
-//! section is damaged or outdated (the record body remains the source of
-//! truth a rebuild can always fall back to).
+//! [`load_venue_model`] decodes the model section and adopts its columns
+//! wholesale. Every defect in the file header or the model section is a
+//! [`PersistError`]; only the index section is advisory. Binary files are
+//! not an archive format: files of other versions (1 and 2 carried a record
+//! body) are refused with a hint to regenerate them, and JSON
+//! ([`crate::json`]) is the long-lived interchange format.
 
 use crate::columnar::{
     adopt_columnar_parts, columnar_section_len, decode_columnar_parts, encode_columnar_section,
     DocumentLoadStats, LoadedVenue,
 };
-use crate::document::{
-    ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
-    LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
-};
+use crate::document::VenueDocument;
 use crate::error::PersistError;
-use crate::index_section::IndexSection;
+use crate::index_section::{decode_index_section, encode_index_section};
 use crate::Result;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use indoor_index::VenueIndex;
 use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
@@ -63,178 +33,26 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-const MAGIC: &[u8; 8] = b"IKRQVEN\0";
+/// Magic bytes opening every binary venue file.
+pub const VENUE_MAGIC: &[u8; 8] = b"IKRQVEN\0";
 
-/// File format version that appends a columnar document section after the
-/// record body. This is a property of the *file*, not of the document model:
-/// the record body inside a v2 file is plain [`FORMAT_VERSION`] content.
-pub const COLUMNAR_FILE_VERSION: u16 = 2;
+/// The binary venue file version this build writes and reads.
+pub const FILE_VERSION: u16 = 3;
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
+/// Magic plus version word.
+const FILE_HEADER_LEN: usize = 8 + 2;
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_optional_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_string(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn partition_kind_code(label: &str) -> Result<u8> {
-    Ok(match label {
-        "room" => 0,
-        "hallway" => 1,
-        "staircase" => 2,
-        "elevator" => 3,
-        other => {
-            return Err(PersistError::InvalidDocument(format!(
-                "unknown partition kind `{other}`"
-            )))
-        }
-    })
-}
-
-fn partition_kind_label(code: u8) -> Result<&'static str> {
-    Ok(match code {
-        0 => "room",
-        1 => "hallway",
-        2 => "staircase",
-        3 => "elevator",
-        other => {
-            return Err(PersistError::Binary(format!(
-                "unknown partition kind code {other}"
-            )))
-        }
-    })
-}
-
-fn door_kind_code(label: &str) -> Result<u8> {
-    Ok(match label {
-        "normal" => 0,
-        "stair" => 1,
-        "elevator" => 2,
-        other => {
-            return Err(PersistError::InvalidDocument(format!(
-                "unknown door kind `{other}`"
-            )))
-        }
-    })
-}
-
-fn door_kind_label(code: u8) -> Result<&'static str> {
-    Ok(match code {
-        0 => "normal",
-        1 => "stair",
-        2 => "elevator",
-        other => {
-            return Err(PersistError::Binary(format!(
-                "unknown door kind code {other}"
-            )))
-        }
-    })
-}
-
-/// Encodes a venue document into the compact binary format (version 1).
-pub fn encode_venue(doc: &VenueDocument) -> Result<Bytes> {
-    doc.validate()?;
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(doc.format_version);
-    encode_record_body(&mut buf, doc)?;
-    Ok(buf.freeze())
-}
-
-/// Encodes the record fields shared by both file versions: everything after
-/// the version word, name through keywords.
-fn encode_record_body(buf: &mut BytesMut, doc: &VenueDocument) -> Result<()> {
-    put_optional_string(buf, &doc.name);
-    buf.put_f64_le(doc.grid_cell);
-
-    buf.put_u32_le(doc.floors.len() as u32);
-    for f in &doc.floors {
-        buf.put_i32_le(f.floor);
-        for v in f.bounds {
-            buf.put_f64_le(v);
-        }
-    }
-
-    buf.put_u32_le(doc.partitions.len() as u32);
-    for p in &doc.partitions {
-        buf.put_u32_le(p.id);
-        buf.put_i32_le(p.floor);
-        buf.put_u8(partition_kind_code(&p.kind)?);
-        for v in p.footprint {
-            buf.put_f64_le(v);
-        }
-        put_optional_string(buf, &p.name);
-    }
-
-    buf.put_u32_le(doc.doors.len() as u32);
-    for d in &doc.doors {
-        buf.put_u32_le(d.id);
-        buf.put_f64_le(d.position[0]);
-        buf.put_f64_le(d.position[1]);
-        buf.put_i32_le(d.floor);
-        buf.put_u8(door_kind_code(&d.kind)?);
-    }
-
-    buf.put_u32_le(doc.connections.len() as u32);
-    for c in &doc.connections {
-        buf.put_u32_le(c.door);
-        buf.put_u32_le(c.partition);
-        buf.put_u8(u8::from(c.enterable) | (u8::from(c.leavable) << 1));
-    }
-
-    buf.put_u32_le(doc.intra_overrides.len() as u32);
-    for o in &doc.intra_overrides {
-        buf.put_u32_le(o.partition);
-        buf.put_u32_le(o.from_door);
-        buf.put_u32_le(o.to_door);
-        buf.put_f64_le(o.distance);
-    }
-
-    buf.put_u32_le(doc.loop_overrides.len() as u32);
-    for o in &doc.loop_overrides {
-        buf.put_u32_le(o.partition);
-        buf.put_u32_le(o.door);
-        buf.put_f64_le(o.distance);
-    }
-
-    buf.put_u32_le(doc.keywords.len() as u32);
-    for k in &doc.keywords {
-        put_string(buf, &k.iword);
-        buf.put_u32_le(k.partitions.len() as u32);
-        for &v in &k.partitions {
-            buf.put_u32_le(v);
-        }
-        buf.put_u32_le(k.twords.len() as u32);
-        for t in &k.twords {
-            put_string(buf, t);
-        }
-    }
-
-    Ok(())
-}
-
-/// Encodes a venue document in the columnar file format (version 2): the v1
-/// record body, a columnar section capturing `space` and `directory`
-/// wholesale, and optionally a pre-built index section.
+/// Encodes a venue as a binary venue file: the header, the model section
+/// capturing `space` and `directory` wholesale, and optionally a pre-built
+/// index section.
 ///
 /// `space` and `directory` must be the model rebuilt from `doc` itself
-/// (i.e. the output of [`VenueDocument::build`]) — interned word ids and CSR
-/// layouts are insertion-order artifacts, and the adopted model must be
-/// indistinguishable from a record-body rebuild. `index`, when given, must
-/// have been built against that same `directory` (its section records the
-/// directory fingerprint, and loaders verify it).
+/// (i.e. the output of [`VenueDocument::build`]): interned word ids and CSR
+/// layouts are insertion-order artifacts, and the adopted model must serve
+/// exactly like the JSON form of the same document. `doc` supplies the name
+/// and grid cell. `index`, when given, must have been built against that
+/// same `directory` (its section records the directory fingerprint, and
+/// loaders verify it).
 pub fn encode_venue_columnar(
     doc: &VenueDocument,
     space: &IndoorSpace,
@@ -242,396 +60,77 @@ pub fn encode_venue_columnar(
     index: Option<&VenueIndex>,
 ) -> Result<Bytes> {
     doc.validate()?;
-    let mut record = BytesMut::with_capacity(1 << 16);
-    encode_record_body(&mut record, doc)?;
-    let mut buf = BytesMut::with_capacity(record.len() + (1 << 17));
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(COLUMNAR_FILE_VERSION);
-    buf.put_u32_le(record.len() as u32);
-    buf.put_slice(record.as_ref());
+    let mut buf = BytesMut::with_capacity(1 << 17);
+    buf.put_slice(VENUE_MAGIC);
+    buf.put_u16_le(FILE_VERSION);
     encode_columnar_section(&mut buf, &doc.name, space, directory, doc.grid_cell);
     if let Some(index) = index {
-        crate::index_section::encode_index_section(&mut buf, index, directory);
+        encode_index_section(&mut buf, index, directory);
     }
     Ok(buf.freeze())
 }
 
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-/// A small checked reader over the binary payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf }
+/// Loads a binary venue file straight into its in-memory model.
+///
+/// The model section decodes into flat columns and the model adopts them
+/// wholesale. A wrong magic, a file version other than [`FILE_VERSION`]
+/// and any defect of the model section (framing, checksum, section version,
+/// a column the adoption scans reject) are errors, never a panic or a
+/// silent rebuild. The index section stays advisory: its defects come back
+/// as [`crate::IndexSection::Unusable`] in [`LoadedVenue::index`].
+pub fn load_venue_model(payload: &[u8]) -> Result<LoadedVenue> {
+    if payload.len() < FILE_HEADER_LEN || &payload[..8] != VENUE_MAGIC {
+        return Err(PersistError::Binary(
+            "not a binary venue file (wrong magic bytes)".into(),
+        ));
     }
-
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.buf.remaining() < n {
-            return Err(PersistError::Binary(format!(
-                "truncated payload while reading {what}"
-            )));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        self.need(2, what)?;
-        Ok(self.buf.get_u16_le())
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
-    }
-
-    fn i32(&mut self, what: &str) -> Result<i32> {
-        self.need(4, what)?;
-        Ok(self.buf.get_i32_le())
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64> {
-        self.need(8, what)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String> {
-        let len = self.u32(what)? as usize;
-        self.need(len, what)?;
-        let bytes = self.buf.copy_to_bytes(len);
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PersistError::Binary(format!("invalid UTF-8 in {what}")))
-    }
-
-    fn optional_string(&mut self, what: &str) -> Result<Option<String>> {
-        match self.u8(what)? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string(what)?)),
-            other => Err(PersistError::Binary(format!(
-                "invalid optional-string tag {other} in {what}"
-            ))),
-        }
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize> {
-        let n = self.u32(what)? as usize;
-        // A record is at least one byte; anything larger than the remaining
-        // payload is a corruption, not a huge venue.
-        if n > self.buf.remaining() {
-            return Err(PersistError::Binary(format!(
-                "implausible count {n} for {what}"
-            )));
-        }
-        Ok(n)
-    }
-}
-
-/// Decodes a venue document from the compact binary format. For version 1
-/// payloads, trailing bytes are rejected unless they form an index section
-/// (see [`crate::index_section`]); version 2 payloads always carry sections
-/// after the record body, which this entry point skips — use
-/// [`decode_venue_file`] for the index section or [`load_venue_model`] for
-/// the columnar fast path.
-pub fn decode_venue(payload: &[u8]) -> Result<VenueDocument> {
-    let (doc, file_version, rest) = decode_venue_prefix(payload)?;
-    if file_version < COLUMNAR_FILE_VERSION
-        && !rest.is_empty()
-        && !rest.starts_with(crate::index_section::INDEX_MAGIC)
-    {
-        return Err(PersistError::Binary(format!(
-            "{} trailing bytes after the document",
-            rest.len()
-        )));
-    }
-    Ok(doc)
-}
-
-/// Decodes a venue file: the document plus whatever its optional pre-built
-/// index section held. The section outcome is advisory — corruption there
-/// yields [`IndexSection::Unusable`], never an error. In a version 2 file
-/// the index section sits after the columnar section; when the columnar
-/// framing is too damaged to skip over, the index is reported unusable (the
-/// document itself still decodes).
-pub fn decode_venue_file(payload: &[u8]) -> Result<(VenueDocument, IndexSection)> {
-    let (doc, file_version, rest) = decode_venue_prefix(payload)?;
-    if file_version >= COLUMNAR_FILE_VERSION {
-        let index = if rest.is_empty() {
-            IndexSection::Absent
-        } else {
-            match columnar_section_len(rest) {
-                Some(len) => crate::index_section::decode_index_section(&rest[len..]),
-                None => IndexSection::Unusable(
-                    "columnar section framing is damaged; cannot locate the index section".into(),
-                ),
-            }
-        };
-        return Ok((doc, index));
-    }
-    if !rest.is_empty() && !rest.starts_with(crate::index_section::INDEX_MAGIC) {
-        return Err(PersistError::Binary(format!(
-            "{} trailing bytes after the document",
-            rest.len()
-        )));
-    }
-    Ok((doc, crate::index_section::decode_index_section(rest)))
-}
-
-/// Decodes the document at the head of `payload` and returns the file
-/// version plus the unread remainder (empty, or the trailing sections).
-fn decode_venue_prefix(payload: &[u8]) -> Result<(VenueDocument, u16, &[u8])> {
-    let mut r = Reader::new(payload);
-    r.need(MAGIC.len(), "magic")?;
-    let mut magic = [0u8; 8];
-    r.buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PersistError::Binary("wrong magic bytes".into()));
-    }
-    let file_version = r.u16("format version")?;
-    if file_version > COLUMNAR_FILE_VERSION {
+    let file_version = u16::from_le_bytes([payload[8], payload[9]]);
+    if file_version != FILE_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: file_version,
-            supported: COLUMNAR_FILE_VERSION,
+            supported: FILE_VERSION,
         });
     }
-    // The document model stays at FORMAT_VERSION inside a columnar file;
-    // only the wrapper differs. The advisory record-body length is not
-    // trusted here — the record fields are self-describing.
-    let format_version = file_version.min(FORMAT_VERSION);
-    if file_version >= COLUMNAR_FILE_VERSION {
-        let _advisory_len = r.u32("record body length")?;
-    }
-    let name = r.optional_string("venue name")?;
-    let grid_cell = r.f64("grid cell")?;
+    let rest = &payload[FILE_HEADER_LEN..];
+    let len = columnar_section_len(rest).ok_or_else(|| {
+        PersistError::Binary("model section framing is damaged or truncated".into())
+    })?;
 
-    let mut floors = Vec::new();
-    for _ in 0..r.count("floor count")? {
-        let floor = r.i32("floor id")?;
-        let mut bounds = [0.0; 4];
-        for b in &mut bounds {
-            *b = r.f64("floor bounds")?;
-        }
-        floors.push(FloorRecord { floor, bounds });
-    }
-
-    let mut partitions = Vec::new();
-    for _ in 0..r.count("partition count")? {
-        let id = r.u32("partition id")?;
-        let floor = r.i32("partition floor")?;
-        let kind = partition_kind_label(r.u8("partition kind")?)?.to_string();
-        let mut footprint = [0.0; 4];
-        for b in &mut footprint {
-            *b = r.f64("partition footprint")?;
-        }
-        let name = r.optional_string("partition name")?;
-        partitions.push(PartitionRecord {
-            id,
-            floor,
-            kind,
-            footprint,
-            name,
-        });
-    }
-
-    let mut doors = Vec::new();
-    for _ in 0..r.count("door count")? {
-        let id = r.u32("door id")?;
-        let x = r.f64("door x")?;
-        let y = r.f64("door y")?;
-        let floor = r.i32("door floor")?;
-        let kind = door_kind_label(r.u8("door kind")?)?.to_string();
-        doors.push(DoorRecord {
-            id,
-            position: [x, y],
-            floor,
-            kind,
-        });
-    }
-
-    let mut connections = Vec::new();
-    for _ in 0..r.count("connection count")? {
-        let door = r.u32("connection door")?;
-        let partition = r.u32("connection partition")?;
-        let flags = r.u8("connection flags")?;
-        if flags & !0b11 != 0 {
-            return Err(PersistError::Binary(format!(
-                "invalid connection flags {flags:#x}"
-            )));
-        }
-        connections.push(ConnectionRecord {
-            door,
-            partition,
-            enterable: flags & 0b01 != 0,
-            leavable: flags & 0b10 != 0,
-        });
-    }
-
-    let mut intra_overrides = Vec::new();
-    for _ in 0..r.count("intra override count")? {
-        intra_overrides.push(IntraOverrideRecord {
-            partition: r.u32("override partition")?,
-            from_door: r.u32("override from door")?,
-            to_door: r.u32("override to door")?,
-            distance: r.f64("override distance")?,
-        });
-    }
-
-    let mut loop_overrides = Vec::new();
-    for _ in 0..r.count("loop override count")? {
-        loop_overrides.push(LoopOverrideRecord {
-            partition: r.u32("loop partition")?,
-            door: r.u32("loop door")?,
-            distance: r.f64("loop distance")?,
-        });
-    }
-
-    let mut keywords = Vec::new();
-    for _ in 0..r.count("keyword count")? {
-        let iword = r.string("i-word")?;
-        let mut partitions_of = Vec::new();
-        for _ in 0..r.count("i-word partition count")? {
-            partitions_of.push(r.u32("i-word partition")?);
-        }
-        let mut twords = Vec::new();
-        for _ in 0..r.count("t-word count")? {
-            twords.push(r.string("t-word")?);
-        }
-        keywords.push(KeywordRecord {
-            iword,
-            partitions: partitions_of,
-            twords,
-        });
-    }
-
-    let doc = VenueDocument {
-        format_version,
-        name,
-        grid_cell,
-        floors,
-        partitions,
-        doors,
-        connections,
-        intra_overrides,
-        loop_overrides,
-        keywords,
-    };
-    doc.validate()?;
-    Ok((doc, file_version, r.buf))
-}
-
-/// Encodes a venue document followed by a pre-built index section for
-/// `index` (which must have been built against `directory`, itself rebuilt
-/// from `doc` — the section records the directory fingerprint and loaders
-/// verify it).
-pub fn encode_venue_with_index(
-    doc: &VenueDocument,
-    index: &VenueIndex,
-    directory: &KeywordDirectory,
-) -> Result<Bytes> {
-    let venue = encode_venue(doc)?;
-    let mut buf = BytesMut::with_capacity(venue.len() + (1 << 16));
-    buf.put_slice(&venue);
-    crate::index_section::encode_index_section(&mut buf, index, directory);
-    Ok(buf.freeze())
-}
-
-/// Loads a venue payload straight into its in-memory model.
-///
-/// Version 2 payloads take the columnar fast path: the record body is
-/// skipped, the columnar section decodes into flat columns, and the model
-/// adopts them wholesale. *Any* columnar defect — damaged framing, checksum
-/// mismatch, version skew, a column the adoption scans reject — degrades to
-/// the v1-style path (decode the record body, replay the builders) with the
-/// reason recorded in [`DocumentLoadStats::degraded`]; a venue file never
-/// fails to load because of its columnar section. Version 1 payloads always
-/// rebuild.
-pub fn load_venue_model(payload: &[u8]) -> Result<LoadedVenue> {
-    let mut degraded = None;
-    if payload.len() >= 14 && &payload[..8] == MAGIC {
-        let file_version = u16::from_le_bytes([payload[8], payload[9]]);
-        if file_version == COLUMNAR_FILE_VERSION {
-            let skip = u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]);
-            match payload.get(14 + skip as usize..) {
-                Some(rest) => match columnar_section_len(rest) {
-                    Some(len) => {
-                        let started = Instant::now();
-                        match decode_columnar_parts(&rest[..len]) {
-                            Ok(parts) => {
-                                let decode_micros = started.elapsed().as_micros() as u64;
-                                let started = Instant::now();
-                                match adopt_columnar_parts(parts) {
-                                    Ok((name, space, directory)) => {
-                                        let adopt_micros = started.elapsed().as_micros() as u64;
-                                        let index = crate::index_section::decode_index_section(
-                                            &rest[len..],
-                                        );
-                                        return Ok(LoadedVenue {
-                                            name,
-                                            space,
-                                            directory,
-                                            index,
-                                            stats: DocumentLoadStats {
-                                                format_version: file_version,
-                                                adopted_columnar: true,
-                                                decode_micros,
-                                                adopt_micros,
-                                                degraded: None,
-                                            },
-                                        });
-                                    }
-                                    Err(reason) => degraded = Some(reason),
-                                }
-                            }
-                            Err(reason) => degraded = Some(reason),
-                        }
-                    }
-                    None => {
-                        degraded =
-                            Some("columnar section framing is damaged or missing".to_string())
-                    }
-                },
-                None => degraded = Some("record body length overruns the file".to_string()),
-            }
-        }
-    }
-    rebuild_venue_model(payload, degraded)
-}
-
-/// The degradation ladder's rebuild rung: decode the record body (or a v1
-/// payload) and replay the builders, exactly as pre-columnar loaders did.
-fn rebuild_venue_model(payload: &[u8], degraded: Option<String>) -> Result<LoadedVenue> {
     let started = Instant::now();
-    let (doc, index) = decode_venue_file(payload)?;
+    let parts = decode_columnar_parts(&rest[..len]).map_err(PersistError::Binary)?;
     let decode_micros = started.elapsed().as_micros() as u64;
-    let file_version = u16::from_le_bytes([payload[8], payload[9]]);
     let started = Instant::now();
-    let name = doc.name.clone();
-    let (space, directory) = doc.build()?;
+    let (name, space, directory) =
+        adopt_columnar_parts(parts).map_err(PersistError::InvalidDocument)?;
     let adopt_micros = started.elapsed().as_micros() as u64;
+
     Ok(LoadedVenue {
         name,
         space,
         directory,
-        index,
+        index: decode_index_section(&rest[len..]),
         stats: DocumentLoadStats {
             format_version: file_version,
-            adopted_columnar: false,
+            adopted_columnar: true,
             decode_micros,
             adopt_micros,
-            degraded,
+            degraded: None,
         },
     })
 }
 
-fn write_file(path: &Path, payload: &[u8]) -> Result<()> {
+/// Writes a binary venue file, with an optional pre-built index section.
+/// See [`encode_venue_columnar`] for the binding contract on
+/// `space`/`directory`/`index`.
+pub fn save_venue_columnar(
+    doc: &VenueDocument,
+    space: &IndoorSpace,
+    directory: &KeywordDirectory,
+    index: Option<&VenueIndex>,
+    path: impl AsRef<Path>,
+) -> Result<()> {
+    let payload = encode_venue_columnar(doc, space, directory, index)?;
+    let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             fs::create_dir_all(parent)?;
@@ -641,63 +140,23 @@ fn write_file(path: &Path, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Writes a venue document in binary form to a file.
-pub fn save_venue_binary(doc: &VenueDocument, path: impl AsRef<Path>) -> Result<()> {
-    write_file(path.as_ref(), &encode_venue(doc)?)
-}
-
-/// Writes a venue document plus its pre-built index section to a file.
-pub fn save_venue_binary_with_index(
-    doc: &VenueDocument,
-    index: &VenueIndex,
-    directory: &KeywordDirectory,
-    path: impl AsRef<Path>,
-) -> Result<()> {
-    write_file(
-        path.as_ref(),
-        &encode_venue_with_index(doc, index, directory)?,
-    )
-}
-
-/// Writes a venue in the columnar file format (version 2), with an optional
-/// pre-built index section. See [`encode_venue_columnar`] for the binding
-/// contract on `space`/`directory`/`index`.
-pub fn save_venue_columnar(
-    doc: &VenueDocument,
-    space: &IndoorSpace,
-    directory: &KeywordDirectory,
-    index: Option<&VenueIndex>,
-    path: impl AsRef<Path>,
-) -> Result<()> {
-    write_file(
-        path.as_ref(),
-        &encode_venue_columnar(doc, space, directory, index)?,
-    )
-}
-
-/// Reads a venue file straight into its in-memory model (see
+/// Reads a binary venue file straight into its in-memory model (see
 /// [`load_venue_model`]).
 pub fn load_venue_model_file(path: impl AsRef<Path>) -> Result<LoadedVenue> {
     let payload = fs::read(path)?;
     load_venue_model(&payload)
 }
 
-/// Reads a venue document from a binary file (ignoring any index section).
-pub fn load_venue_binary(path: impl AsRef<Path>) -> Result<VenueDocument> {
-    let payload = fs::read(path)?;
-    decode_venue(&payload)
-}
-
-/// Reads a venue document and its optional pre-built index section from a
-/// binary file.
-pub fn load_venue_binary_file(path: impl AsRef<Path>) -> Result<(VenueDocument, IndexSection)> {
-    let payload = fs::read(path)?;
-    decode_venue_file(&payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::frame_columnar_section;
+    use crate::document::{
+        ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
+        LoopOverrideRecord, PartitionRecord, FORMAT_VERSION,
+    };
+    use crate::index_section::IndexSection;
+    use proptest::prelude::*;
 
     fn tiny_document() -> VenueDocument {
         VenueDocument {
@@ -797,249 +256,166 @@ mod tests {
         }
     }
 
-    #[test]
-    fn binary_round_trip_preserves_the_document() {
-        let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
-        assert_eq!(&payload[..8], MAGIC);
-        let back = decode_venue(&payload).unwrap();
-        assert_eq!(back, doc);
-    }
-
-    #[test]
-    fn binary_is_smaller_than_json_for_the_same_document() {
-        let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
-        let json = crate::json::to_json_string(&doc).unwrap();
-        assert!(payload.len() < json.len());
-    }
-
-    #[test]
-    fn wrong_magic_and_truncation_are_detected() {
-        let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
-
-        let mut corrupt = payload.to_vec();
-        corrupt[0] = b'X';
-        assert!(matches!(
-            decode_venue(&corrupt),
-            Err(PersistError::Binary(_))
-        ));
-
-        for cut in [4, payload.len() / 2, payload.len() - 1] {
-            assert!(decode_venue(&payload[..cut]).is_err(), "cut at {cut}");
-        }
-
-        let mut trailing = payload.to_vec();
-        trailing.push(0);
-        assert!(matches!(
-            decode_venue(&trailing),
-            Err(PersistError::Binary(_))
-        ));
-    }
-
-    #[test]
-    fn future_versions_are_rejected() {
-        let mut doc = tiny_document();
-        doc.format_version = FORMAT_VERSION + 1;
-        assert!(encode_venue(&doc).is_err());
-        // Patch a valid payload's version field directly (offset 8..10) to
-        // one past the highest supported *file* version.
-        let payload = encode_venue(&tiny_document()).unwrap();
-        let mut patched = payload.to_vec();
-        patched[8] = (COLUMNAR_FILE_VERSION + 1) as u8;
-        assert!(matches!(
-            decode_venue(&patched),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
-        assert!(matches!(
-            load_venue_model(&patched),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
-    }
-
-    #[test]
-    fn columnar_files_adopt_the_model_and_still_decode_as_documents() {
+    /// The tiny document's binary file, optionally with an index section.
+    fn tiny_file(with_index: bool) -> (VenueDocument, IndoorSpace, KeywordDirectory, Bytes) {
         let doc = tiny_document();
         let (space, directory) = doc.build().unwrap();
-        let payload = encode_venue_columnar(&doc, &space, &directory, None).unwrap();
+        let index = with_index.then(|| VenueIndex::build(&space, &directory));
+        let payload = encode_venue_columnar(&doc, &space, &directory, index.as_ref()).unwrap();
+        (doc, space, directory, payload)
+    }
 
-        // The record body survives verbatim: document-level decoding sees
-        // plain v1 content.
-        let back = decode_venue(&payload).unwrap();
-        assert_eq!(back, doc);
-        let (back, section) = decode_venue_file(&payload).unwrap();
-        assert_eq!(back, doc);
-        assert!(matches!(section, IndexSection::Absent));
-
-        // The model loader takes the columnar fast path and lands on the
-        // same model a rebuild produces.
+    #[test]
+    fn binary_files_adopt_the_model_they_were_written_from() {
+        let (doc, space, directory, payload) = tiny_file(false);
+        assert_eq!(&payload[..8], VENUE_MAGIC);
         let loaded = load_venue_model(&payload).unwrap();
         assert!(loaded.stats.adopted_columnar, "{:?}", loaded.stats);
-        assert_eq!(loaded.stats.format_version, COLUMNAR_FILE_VERSION);
+        assert_eq!(loaded.stats.format_version, FILE_VERSION);
         assert!(loaded.stats.degraded.is_none());
+        assert!(matches!(loaded.index, IndexSection::Absent));
         assert_eq!(loaded.name, doc.name);
-        assert_eq!(loaded.space.num_partitions(), space.num_partitions());
-        assert_eq!(loaded.space.num_doors(), space.num_doors());
         assert_eq!(loaded.directory.fingerprint(), directory.fingerprint());
-
-        // A v1 payload rebuilds through the same entry point.
-        let v1 = encode_venue(&doc).unwrap();
-        let rebuilt = load_venue_model(&v1).unwrap();
-        assert!(!rebuilt.stats.adopted_columnar);
-        assert_eq!(rebuilt.stats.format_version, FORMAT_VERSION);
-        assert_eq!(rebuilt.directory.fingerprint(), directory.fingerprint());
+        assert_eq!(
+            VenueDocument::from_venue(&loaded.space, &loaded.directory, doc.grid_cell, loaded.name),
+            VenueDocument::from_venue(&space, &directory, doc.grid_cell, doc.name.clone()),
+        );
+        assert!(loaded.directory.lookup("unassigned-brand").is_some());
     }
 
     #[test]
-    fn columnar_files_carry_an_index_section() {
-        let doc = tiny_document();
-        let (space, directory) = doc.build().unwrap();
-        let index = indoor_index::VenueIndex::build(&space, &directory);
-        let payload = encode_venue_columnar(&doc, &space, &directory, Some(&index)).unwrap();
+    fn binary_files_carry_an_index_section() {
+        let (_, _, _, payload) = tiny_file(true);
         let loaded = load_venue_model(&payload).unwrap();
-        assert!(loaded.stats.adopted_columnar);
         let IndexSection::Present(prebuilt) = loaded.index else {
             panic!("expected a present index section, got {:?}", loaded.index);
         };
         // The section binds against the *adopted* directory — fingerprint
-        // identity with the rebuild path is what makes this possible.
+        // identity with the document rebuild is what makes this possible.
         assert!(prebuilt.into_index(&loaded.directory).is_ok());
-        // decode_venue_file can locate the index behind the columnar section.
-        let (_, section) = decode_venue_file(&payload).unwrap();
-        assert!(matches!(section, IndexSection::Present(_)));
     }
 
     #[test]
-    fn any_columnar_defect_degrades_to_a_rebuild() {
-        let doc = tiny_document();
-        let (space, directory) = doc.build().unwrap();
-        let payload = encode_venue_columnar(&doc, &space, &directory, None).unwrap();
-        let record_len =
-            u32::from_le_bytes([payload[10], payload[11], payload[12], payload[13]]) as usize;
-        let section_start = 14 + record_len;
+    fn invalid_documents_are_refused_at_encode_time() {
+        let (space, directory) = tiny_document().build().unwrap();
+        let mut doc = tiny_document();
+        doc.format_version = FORMAT_VERSION + 1;
+        assert!(encode_venue_columnar(&doc, &space, &directory, None).is_err());
+        let mut doc = tiny_document();
+        doc.grid_cell = 0.0;
+        assert!(encode_venue_columnar(&doc, &space, &directory, None).is_err());
+    }
 
-        // Flip every byte of the columnar section in turn: the model must
-        // always load, fall back to the rebuild, and record a reason.
-        for i in section_start..payload.len() {
+    #[test]
+    fn wrong_magic_and_truncation_are_errors() {
+        let (_, _, _, payload) = tiny_file(false);
+
+        let mut corrupt = payload.to_vec();
+        corrupt[0] = b'X';
+        assert!(matches!(
+            load_venue_model(&corrupt),
+            Err(PersistError::Binary(_))
+        ));
+
+        for cut in [4, FILE_HEADER_LEN, payload.len() / 2, payload.len() - 1] {
+            assert!(load_venue_model(&payload[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn record_body_and_future_versions_ask_to_be_regenerated() {
+        let (_, _, _, payload) = tiny_file(false);
+        // Versions 1 and 2 carried a record body; they and any future
+        // version are refused with a hint to regenerate the file.
+        for version in [1u16, 2, FILE_VERSION + 1] {
+            let mut patched = payload.to_vec();
+            patched[8..10].copy_from_slice(&version.to_le_bytes());
+            let err = load_venue_model(&patched).unwrap_err();
+            assert!(
+                matches!(err, PersistError::UnsupportedVersion { found, .. } if found == version),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("regenerate"), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_model_section_flip_is_an_error() {
+        let (_, _, _, payload) = tiny_file(true);
+        let model_end =
+            FILE_HEADER_LEN + columnar_section_len(&payload[FILE_HEADER_LEN..]).unwrap();
+        for i in 0..model_end {
+            let mut corrupt = payload.to_vec();
+            corrupt[i] ^= 0xff;
+            assert!(load_venue_model(&corrupt).is_err(), "flip at {i} loaded");
+        }
+        // Index-section flips degrade only the index.
+        for i in model_end..payload.len() {
             let mut corrupt = payload.to_vec();
             corrupt[i] ^= 0xff;
             let loaded = load_venue_model(&corrupt)
-                .unwrap_or_else(|e| panic!("flip at {i} failed the load: {e}"));
-            assert!(!loaded.stats.adopted_columnar, "flip at {i} still adopted");
-            assert!(
-                loaded.stats.degraded.is_some(),
-                "flip at {i} lost the reason"
-            );
-            assert_eq!(loaded.directory.fingerprint(), directory.fingerprint());
+                .unwrap_or_else(|e| panic!("index flip at {i} failed the load: {e}"));
+            assert!(!matches!(loaded.index, IndexSection::Absent), "flip at {i}");
         }
+    }
 
-        // A lying advisory record-body length also degrades, because the
-        // skip no longer lands on the columnar magic.
-        let mut lying = payload.to_vec();
-        lying[10] ^= 0x01;
-        let loaded = load_venue_model(&lying).unwrap();
-        assert!(!loaded.stats.adopted_columnar);
-
-        // Checksum-valid framing around a garbage body degrades too (the
-        // column decoder, not the checksum, rejects it).
+    #[test]
+    fn a_checksum_valid_garbage_body_is_refused_by_the_decoder() {
         let mut reframed = BytesMut::new();
-        reframed.put_slice(&payload[..section_start]);
-        crate::columnar::frame_columnar_section(&mut reframed, &[0xff; 32]);
-        let loaded = load_venue_model(reframed.as_ref()).unwrap();
-        assert!(!loaded.stats.adopted_columnar);
-        assert!(loaded.stats.degraded.is_some());
-    }
-
-    /// Builds a raw v1 payload record by record, bypassing the encoder's
-    /// validation, so decode-side handling of dangling references is
-    /// testable.
-    fn raw_payload(connection_partition: u32, override_from_door: u32) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16_le(FORMAT_VERSION);
-        buf.put_u8(0); // no name
-        buf.put_f64_le(10.0); // grid cell
-        buf.put_u32_le(0); // floors
-        buf.put_u32_le(1); // partitions
-        buf.put_u32_le(0);
-        buf.put_i32_le(0);
-        buf.put_u8(0); // room
-        for v in [0.0, 0.0, 10.0, 10.0] {
-            buf.put_f64_le(v);
-        }
-        buf.put_u8(0); // unnamed
-        buf.put_u32_le(1); // doors
-        buf.put_u32_le(0);
-        buf.put_f64_le(5.0);
-        buf.put_f64_le(10.0);
-        buf.put_i32_le(0);
-        buf.put_u8(0); // normal
-        buf.put_u32_le(1); // connections
-        buf.put_u32_le(0);
-        buf.put_u32_le(connection_partition);
-        buf.put_u8(0b11);
-        buf.put_u32_le(1); // intra overrides
-        buf.put_u32_le(0);
-        buf.put_u32_le(override_from_door);
-        buf.put_u32_le(0);
-        buf.put_f64_le(4.0);
-        buf.put_u32_le(0); // loop overrides
-        buf.put_u32_le(0); // keywords
-        buf.as_ref().to_vec()
-    }
-
-    #[test]
-    fn dangling_references_decode_to_invalid_document_errors() {
-        // Sanity: the same payload with in-range references decodes.
-        assert!(decode_venue(&raw_payload(0, 0)).is_ok());
-        // A connection to a partition that does not exist.
+        reframed.put_slice(VENUE_MAGIC);
+        reframed.put_u16_le(FILE_VERSION);
+        frame_columnar_section(&mut reframed, &[0xff; 32]);
         assert!(matches!(
-            decode_venue(&raw_payload(9, 0)),
-            Err(PersistError::InvalidDocument(_))
+            load_venue_model(reframed.as_ref()),
+            Err(PersistError::Binary(_))
         ));
-        // An override through a door that does not exist, through the model
-        // loader as well as the document decoder.
-        assert!(matches!(
-            decode_venue(&raw_payload(0, 7)),
-            Err(PersistError::InvalidDocument(_))
-        ));
-        assert!(matches!(
-            load_venue_model(&raw_payload(0, 7)),
-            Err(PersistError::InvalidDocument(_))
-        ));
-    }
-
-    #[test]
-    fn invalid_kind_codes_and_flags_are_rejected() {
-        let mut doc = tiny_document();
-        doc.partitions[0].kind = "castle".into();
-        assert!(encode_venue(&doc).is_err());
-        let mut doc = tiny_document();
-        doc.doors[0].kind = "hatch".into();
-        assert!(encode_venue(&doc).is_err());
     }
 
     #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join(format!("ikrq-binary-test-{}", std::process::id()));
-        let path = dir.join("venue.ikrq");
+        let path = dir.join("nested").join("venue.ikrq");
         let doc = tiny_document();
-        save_venue_binary(&doc, &path).unwrap();
-        let back = load_venue_binary(&path).unwrap();
-        assert_eq!(back, doc);
+        let (space, directory) = doc.build().unwrap();
+        save_venue_columnar(&doc, &space, &directory, None, &path).unwrap();
+        let loaded = load_venue_model_file(&path).unwrap();
+        assert_eq!(loaded.name, doc.name);
+        assert_eq!(loaded.directory.fingerprint(), directory.fingerprint());
         std::fs::remove_dir_all(&dir).ok();
+        assert!(matches!(
+            load_venue_model_file(&path),
+            Err(PersistError::Io(_))
+        ));
     }
 
-    #[test]
-    fn decoded_document_still_builds_a_venue() {
-        let doc = tiny_document();
-        let payload = encode_venue(&doc).unwrap();
-        let back = decode_venue(&payload).unwrap();
-        let (space, directory) = back.build().unwrap();
-        assert_eq!(space.num_partitions(), 3);
-        assert_eq!(space.num_doors(), 2);
-        assert!(directory.lookup("zara").is_some());
-        assert!(directory.lookup("unassigned-brand").is_some());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// With the checksum recomputed over a flipped body, the column
+        /// decoder and the adoption scans are the only guard: they must
+        /// refuse the body or adopt it, never panic.
+        #[test]
+        fn reframed_flipped_model_bodies_never_panic(
+            flips in proptest::collection::vec((0.0f64..1.0, 1u8..=255), 1..4),
+        ) {
+            let (doc, space, directory, _) = tiny_file(false);
+            let mut section = BytesMut::new();
+            encode_columnar_section(&mut section, &doc.name, &space, &directory, doc.grid_cell);
+            // Section framing: 14-byte header, body, 8-byte checksum.
+            let section = section.as_ref();
+            let mut body = section[14..section.len() - 8].to_vec();
+            for (at, mask) in flips {
+                let i = ((body.len() as f64 * at) as usize).min(body.len() - 1);
+                body[i] ^= mask;
+            }
+            let mut reframed = BytesMut::new();
+            reframed.put_slice(VENUE_MAGIC);
+            reframed.put_u16_le(FILE_VERSION);
+            frame_columnar_section(&mut reframed, &body);
+            match load_venue_model(reframed.as_ref()) {
+                Ok(loaded) => prop_assert!(loaded.stats.adopted_columnar),
+                Err(e) => prop_assert!(!e.to_string().is_empty()),
+            }
+        }
     }
 }

@@ -1,27 +1,24 @@
-//! The columnar venue-document section (`IKRQCOL`): flat column blobs that
-//! the in-memory model adopts wholesale.
+//! The columnar model section (`IKRQCOL`): flat column blobs that the
+//! in-memory model adopts wholesale. It is the body of every binary venue
+//! file (see [`crate::binary`]).
 //!
-//! Version 1 venue files store the venue as a vector of records; loading one
-//! replays every partition, door, connection and keyword through the space
-//! builder and the keyword interner, which dominates cold start at venue
-//! scale. A version 2 file appends this section after the record body: the
-//! same venue, but laid out exactly the way [`IndoorSpace`] and
-//! [`KeywordDirectory`] store it — dense partition/door columns, CSR
-//! adjacency, sorted override tables, the derived door graph, one string
-//! arena plus offset table for the interner, and the sorted id maps. Loading
-//! then splits into two cheap phases: *decode* (bytes → columns, all bulk
-//! reads) and *adopt* ([`IndoorSpace::adopt_columns`] +
-//! [`KeywordDirectory::from_parts`], `O(n)` validation scans instead of a
-//! rebuild).
+//! Replaying every partition, door, connection and keyword of a
+//! [`crate::VenueDocument`] through the space builder and the keyword
+//! interner dominates cold start at venue scale. This section instead lays
+//! the venue out exactly the way [`IndoorSpace`] and [`KeywordDirectory`]
+//! store it — dense partition/door columns, CSR adjacency, sorted override
+//! tables, the derived door graph, one string arena plus offset table for
+//! the interner, and the sorted id maps. Loading then splits into two cheap
+//! phases: *decode* (bytes → columns, all bulk reads) and *adopt*
+//! ([`IndoorSpace::adopt_columns`] + [`KeywordDirectory::from_parts`],
+//! `O(n)` validation scans instead of a rebuild).
 //!
 //! The section is framed exactly like the pre-built index section: magic,
 //! `u16` section version, `u32` body length, body, trailing `u64` checksum
-//! over the body. It is *advisory* in the same sense, too — any defect
+//! over the body. Unlike the index section it is not advisory: any defect
 //! (truncation, version skew, checksum mismatch, a column that fails the
-//! adoption scans) makes the loader fall back to decoding the record body
-//! and rebuilding, so a venue file never fails to load because of its
-//! columnar section. The degradation ladder is documented in
-//! `docs/PERSIST.md`.
+//! adoption scans) comes back as an error reason, and the loader fails.
+//! The layout is documented in `docs/PERSIST.md`.
 
 use crate::index_section::section_checksum;
 use bytes::{Buf, BufMut, BytesMut};
@@ -36,8 +33,7 @@ use indoor_space::{
 pub const COLUMNAR_MAGIC: &[u8; 8] = b"IKRQCOL\0";
 
 /// Version of the columnar section layout. Bumped on breaking changes;
-/// loaders treat a higher version as a degradation to the record-body
-/// rebuild, never an error.
+/// loaders refuse any other version with an error.
 pub const COLUMNAR_FORMAT_VERSION: u16 = 1;
 
 /// Framing overhead: magic + version + body length before the body, and the
@@ -49,18 +45,19 @@ const TRAILER_LEN: usize = 8;
 /// observability (`/v1/stats` and the scale bench report these).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DocumentLoadStats {
-    /// File format version the venue was loaded from (`2` columnar, `1`
-    /// record-based binary, `0` JSON).
+    /// File format version the venue was loaded from (`3` binary, `0`
+    /// JSON).
     pub format_version: u16,
-    /// Whether the columnar fast path produced the model. `false` means the
-    /// model was rebuilt from records (v1 files, JSON, or a degraded v2).
+    /// Whether the model was adopted from a model section: `true` for every
+    /// binary load, `false` for a JSON document rebuilt by its builders.
     pub adopted_columnar: bool,
     /// Microseconds spent decoding bytes into the document or columns.
     pub decode_micros: u64,
     /// Microseconds spent turning the decoded form into the model (columnar
     /// adoption, or the full builder replay).
     pub adopt_micros: u64,
-    /// Why a v2 file fell back to the record-body rebuild, when it did.
+    /// Always `None`: a defective model section is now a load error, not a
+    /// fallback. Kept so existing readers of the field still compile.
     pub degraded: Option<String>,
 }
 
@@ -164,11 +161,10 @@ pub(crate) fn frame_columnar_section(buf: &mut BytesMut, body: &[u8]) {
 
 /// Appends a columnar section for a built venue model to `buf`.
 ///
-/// `space` and `directory` must be the model a loader would rebuild from the
-/// same file's record body (i.e. the output of `VenueDocument::build`):
+/// `space` and `directory` should be the output of `VenueDocument::build`:
 /// interned word ids and CSR layouts are insertion-order artifacts, and the
 /// adopted model must be indistinguishable — byte-identical responses,
-/// matching directory fingerprint — from a record-body rebuild.
+/// matching directory fingerprint — from a rebuild of the same document.
 pub(crate) fn encode_columnar_section(
     buf: &mut BytesMut,
     name: &Option<String>,
@@ -332,8 +328,8 @@ pub(crate) fn encode_columnar_section(
 // Decoding
 // ---------------------------------------------------------------------
 
-/// A checked little-endian reader whose errors are plain degradation
-/// reasons, never panics.
+/// A checked little-endian reader whose errors are plain reasons, never
+/// panics.
 struct ColReader<'a> {
     buf: &'a [u8],
 }
@@ -443,7 +439,7 @@ fn row_f64(row: &[u8], at: usize) -> f64 {
 
 /// Returns the length of the framed columnar section at the head of `rest`,
 /// when its framing is intact — the loader uses this to locate the index
-/// section that may follow without decoding the columns.
+/// section that may follow.
 pub(crate) fn columnar_section_len(rest: &[u8]) -> Option<usize> {
     if rest.len() < HEADER_LEN + TRAILER_LEN || &rest[..8] != COLUMNAR_MAGIC {
         return None;
@@ -473,8 +469,8 @@ fn grouped_ids(r: &mut ColReader<'_>, what: &str) -> Result<Vec<(u32, Vec<u32>)>
 }
 
 /// Decodes a framed columnar section (exactly the bytes
-/// [`columnar_section_len`] measured) into columns. Every defect is a
-/// degradation reason.
+/// [`columnar_section_len`] measured) into columns. Every defect is an
+/// error reason.
 pub(crate) fn decode_columnar_parts(section: &[u8]) -> Result<ColumnarParts, String> {
     if section.len() < HEADER_LEN + TRAILER_LEN {
         return Err("columnar section is shorter than its framing".into());
@@ -709,7 +705,7 @@ fn decode_columnar_body(body: &[u8]) -> Result<ColumnarParts, String> {
 
 /// Adopts decoded columns into the in-memory model. All structural defects —
 /// out-of-range door/partition/word references, unsorted tables, CSR shape
-/// violations — come back as a degradation reason, never a panic.
+/// violations — come back as an error reason, never a panic.
 pub(crate) fn adopt_columnar_parts(
     parts: ColumnarParts,
 ) -> Result<(Option<String>, IndoorSpace, KeywordDirectory), String> {
@@ -811,7 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_corruption_is_a_degradation_not_a_panic() {
+    fn every_single_byte_corruption_is_an_error_not_a_panic() {
         let section = encoded_section();
         // Flipping any byte must yield Err from decode (framing/checksum) or
         // at worst a decodable-but-rejected set of parts; adoption of intact
@@ -835,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn defective_columns_degrade_with_structured_reasons() {
+    fn defective_columns_are_refused_with_structured_reasons() {
         // Hand-patch decoded parts to simulate checksum-valid files with
         // out-of-range references: adoption must reject each one.
         let section = encoded_section();

@@ -1,6 +1,6 @@
 //! The portable venue document: a flat, string-based description of an
-//! indoor venue (space model + keyword directory) that can be serialised to
-//! JSON or to the compact binary format and rebuilt into the in-memory model.
+//! indoor venue (space model + keyword directory) that is serialised to JSON
+//! and rebuilt into the in-memory model.
 //!
 //! The document deliberately stores keywords as strings rather than interned
 //! word ids so that a document produced by one process can be loaded by

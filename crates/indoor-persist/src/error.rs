@@ -13,11 +13,12 @@ pub enum PersistError {
     /// The binary payload is malformed (wrong magic, truncated section, bad
     /// string encoding, ...).
     Binary(String),
-    /// The document declares a format version this build does not understand.
+    /// The document or binary venue file declares a format version this
+    /// build does not read.
     UnsupportedVersion {
-        /// Version found in the document.
+        /// Version found in the document or file.
         found: u16,
-        /// Highest version this build supports.
+        /// Version this build reads (the highest one, for JSON documents).
         supported: u16,
     },
     /// Rebuilding the indoor space from the document failed.
@@ -37,7 +38,8 @@ impl fmt::Display for PersistError {
             PersistError::Binary(msg) => write!(f, "malformed binary document: {msg}"),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "unsupported document version {found} (this build supports up to {supported})"
+                "unsupported format version {found} (this build reads version {supported}); \
+                 regenerate the file with `ikrq generate`"
             ),
             PersistError::Space(e) => write!(f, "space rebuild error: {e}"),
             PersistError::Keyword(e) => write!(f, "keyword rebuild error: {e}"),

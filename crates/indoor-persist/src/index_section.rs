@@ -1,7 +1,7 @@
 //! Persisted pre-built [`VenueIndex`] section.
 //!
-//! A venue file may carry, after the document payload, one optional index
-//! section serialising the venue's [`KeywordPostings`] and [`RegionIndex`]
+//! A binary venue file may carry, after its model section, one optional
+//! index section serialising the venue's [`KeywordPostings`] and [`RegionIndex`]
 //! so that serving processes skip the index build entirely. Layout:
 //!
 //! ```text
@@ -24,8 +24,8 @@
 //!
 //! The section is advisory: any defect — wrong magic, unsupported version,
 //! bad checksum, truncation, or a vocabulary fingerprint that does not
-//! match the rebuilt directory — degrades to [`IndexSection::Unusable`]
-//! and the caller rebuilds from scratch. A venue file therefore never
+//! match the adopted directory — degrades to [`IndexSection::Unusable`]
+//! and the caller rebuilds the index from the model. A venue file therefore never
 //! fails to load because its index section went stale.
 
 use crate::error::PersistError;
@@ -46,11 +46,11 @@ pub const INDEX_FORMAT_VERSION: u16 = 1;
 /// What the optional index section of a decoded venue file held.
 #[derive(Debug)]
 pub enum IndexSection {
-    /// The file ends after the document — older file or `--save-indexed`
-    /// not used.
+    /// The file ends after the model section: it was written without a
+    /// pre-built index.
     Absent,
     /// A structurally valid section (magic, version, checksum all good).
-    /// Call [`PrebuiltIndex::into_index`] with the rebuilt directory to
+    /// Call [`PrebuiltIndex::into_index`] with the loaded directory to
     /// validate the vocabulary binding and obtain the [`VenueIndex`].
     /// Boxed: the decoded tables dwarf the other variants, and the value
     /// travels through `Result`s on its way to the engine.
@@ -70,8 +70,8 @@ pub struct PrebuiltIndex {
 }
 
 impl PrebuiltIndex {
-    /// Validates the section's vocabulary fingerprint against the directory
-    /// rebuilt from the document and yields the ready [`VenueIndex`]
+    /// Validates the section's vocabulary fingerprint against the venue's
+    /// loaded directory and yields the ready [`VenueIndex`]
     /// (`build_micros` = decode time, `loaded_from_disk` = true). A
     /// mismatch returns the reason string; callers rebuild.
     pub fn into_index(
@@ -81,7 +81,7 @@ impl PrebuiltIndex {
         let expected = directory.fingerprint();
         if expected != self.vocab_hash {
             return Err(format!(
-                "vocabulary fingerprint mismatch (section {:#018x}, rebuilt {:#018x})",
+                "vocabulary fingerprint mismatch (section {:#018x}, directory {:#018x})",
                 self.vocab_hash, expected
             ));
         }
@@ -97,7 +97,7 @@ impl PrebuiltIndex {
 /// lanes of 8-byte chunks folded with a wrapping multiply, then combined.
 /// A single lane's multiply chain is serial and costs a visible slice of
 /// section decode at mega-venue sizes; four lanes pipeline it away. Shared
-/// with the columnar document section, which frames its body the same way.
+/// with the columnar model section, which frames its body the same way.
 pub(crate) fn section_checksum(bytes: &[u8]) -> u64 {
     const M: u64 = 0x2545_f491_4f6c_dd1d;
     let mut lanes = [
@@ -440,12 +440,10 @@ pub fn decode_index_section(rest: &[u8]) -> IndexSection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{decode_venue, decode_venue_file, encode_venue, encode_venue_with_index};
     use crate::document::VenueDocument;
     use indoor_data::paper_example_venue;
-    use indoor_space::IndoorSpace;
 
-    fn fixture() -> (VenueDocument, IndoorSpace, KeywordDirectory, VenueIndex) {
+    fn fixture() -> (KeywordDirectory, VenueIndex, Vec<u8>) {
         let ex = paper_example_venue();
         let doc = VenueDocument::from_venue(
             &ex.venue.space,
@@ -457,17 +455,17 @@ mod tests {
         // a document-order artefact, and loaders rebuild from the document.
         let (space, directory) = doc.build().unwrap();
         let index = VenueIndex::build(&space, &directory);
-        (doc, space, directory, index)
+        let mut section = BytesMut::new();
+        encode_index_section(&mut section, &index, &directory);
+        (directory, index, section.as_ref().to_vec())
     }
 
     #[test]
     fn index_section_round_trips() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let (back_doc, section) = decode_venue_file(&payload).unwrap();
-        assert_eq!(back_doc, doc);
-        let IndexSection::Present(prebuilt) = section else {
-            panic!("expected a present index section, got {section:?}");
+        let (directory, index, section) = fixture();
+        let decoded = decode_index_section(&section);
+        let IndexSection::Present(prebuilt) = decoded else {
+            panic!("expected a present index section, got {decoded:?}");
         };
         let loaded = prebuilt.into_index(&directory).unwrap();
         assert!(loaded.loaded_from_disk());
@@ -509,68 +507,49 @@ mod tests {
     }
 
     #[test]
-    fn plain_decode_skips_the_index_section() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let back = decode_venue(&payload).unwrap();
-        assert_eq!(back, doc);
-    }
-
-    #[test]
     fn files_without_a_section_report_absent() {
-        let (doc, _space, _directory, _index) = fixture();
-        let payload = encode_venue(&doc).unwrap();
-        let (_, section) = decode_venue_file(&payload).unwrap();
-        assert!(matches!(section, IndexSection::Absent));
+        assert!(matches!(decode_index_section(&[]), IndexSection::Absent));
     }
 
     #[test]
     fn corruption_truncation_and_version_skew_degrade_to_unusable() {
-        let (doc, _space, directory, index) = fixture();
-        let plain = encode_venue(&doc).unwrap();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let section_start = plain.len();
+        let (_, _, section) = fixture();
 
         // Flip one byte inside the section body: checksum mismatch.
-        let mut corrupt = payload.to_vec();
-        corrupt[section_start + 20] ^= 0xff;
-        let (_, section) = decode_venue_file(&corrupt).unwrap();
+        let mut corrupt = section.clone();
+        corrupt[20] ^= 0xff;
+        let decoded = decode_index_section(&corrupt);
         assert!(
-            matches!(&section, IndexSection::Unusable(reason) if reason.contains("checksum")),
-            "got {section:?}"
+            matches!(&decoded, IndexSection::Unusable(reason) if reason.contains("checksum")),
+            "got {decoded:?}"
         );
 
         // Truncate the section midway: unusable, not an error.
-        let cut = section_start + (payload.len() - section_start) / 2;
-        let (_, section) = decode_venue_file(&payload[..cut]).unwrap();
-        assert!(matches!(section, IndexSection::Unusable(_)));
+        let decoded = decode_index_section(&section[..section.len() / 2]);
+        assert!(matches!(decoded, IndexSection::Unusable(_)));
 
         // Future section version: unusable.
-        let mut future = payload.to_vec();
-        future[section_start + 8] = (INDEX_FORMAT_VERSION + 1) as u8;
-        let (_, section) = decode_venue_file(&future).unwrap();
+        let mut future = section.clone();
+        future[8] = (INDEX_FORMAT_VERSION + 1) as u8;
+        let decoded = decode_index_section(&future);
         assert!(
-            matches!(&section, IndexSection::Unusable(reason) if reason.contains("version")),
-            "got {section:?}"
+            matches!(&decoded, IndexSection::Unusable(reason) if reason.contains("version")),
+            "got {decoded:?}"
         );
 
         // Trailing garbage after the section: unusable.
-        let mut trailing = payload.to_vec();
+        let mut trailing = section.clone();
         trailing.push(0);
-        let (_, section) = decode_venue_file(&trailing).unwrap();
-        assert!(matches!(section, IndexSection::Unusable(_)));
-
-        // The venue document itself decodes fine in every case.
-        let (back, _) = decode_venue_file(&corrupt).unwrap();
-        assert_eq!(back, doc);
+        assert!(matches!(
+            decode_index_section(&trailing),
+            IndexSection::Unusable(_)
+        ));
     }
 
     #[test]
     fn vocabulary_mismatch_is_rejected_at_binding_time() {
-        let (doc, _space, directory, index) = fixture();
-        let payload = encode_venue_with_index(&doc, &index, &directory).unwrap();
-        let (_, section) = decode_venue_file(&payload).unwrap();
-        let IndexSection::Present(prebuilt) = section else {
+        let (_, _, section) = fixture();
+        let IndexSection::Present(prebuilt) = decode_index_section(&section) else {
             panic!("expected present");
         };
         let mut other = KeywordDirectory::new();

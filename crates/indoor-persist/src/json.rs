@@ -2,7 +2,8 @@
 //!
 //! JSON is the interchange format of the repository's tooling (the `ikrq`
 //! command-line tool reads and writes it, the benchmark harness emits it);
-//! the [`crate::binary`] codec is the compact alternative for large venues.
+//! the [`crate::binary`] model files are the fast-loading form for serving
+//! large venues.
 
 use crate::document::VenueDocument;
 use crate::error::PersistError;

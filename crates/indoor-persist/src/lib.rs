@@ -2,30 +2,29 @@
 //!
 //! Persistence layer for the IKRQ reproduction: portable documents for
 //! venues (indoor space + keyword directory), query workloads and search
-//! results, with three on-disk shapes (full reference: `docs/PERSIST.md`):
+//! results, in two on-disk shapes (full reference: `docs/PERSIST.md`):
 //!
-//! * **JSON** ([`json`]) — human-readable interchange format used by the
-//!   `ikrq` command-line tool and the benchmark harness;
-//! * **binary v1** ([`binary`]) — a compact little-endian record layout for
-//!   large venues, hand-rolled on top of the `bytes` crate;
-//! * **binary v2 / columnar** ([`binary`] + [`columnar`]) — the v1 record
-//!   body plus a checksummed *columnar section* holding the venue in exactly
-//!   the flat shape the in-memory model stores it (dense partition/door
-//!   columns, CSR adjacency, the derived door graph, the keyword string
-//!   arena and sorted id maps). [`binary::load_venue_model`] adopts those
-//!   columns wholesale instead of replaying the builders, which is what
-//!   makes venue-scale cold start cheap.
+//! * **JSON** ([`json`]) — the human-readable, long-lived interchange
+//!   format, used by the `ikrq` command-line tool and the benchmark
+//!   harness. Loading a JSON venue rebuilds the model with
+//!   [`VenueDocument::build`].
+//! * **binary** ([`binary`] + [`columnar`]) — a checksummed *model section*
+//!   holding the venue in exactly the flat shape the in-memory model stores
+//!   it (dense partition/door columns, CSR adjacency, the derived door
+//!   graph, the keyword string arena and sorted id maps), optionally
+//!   followed by a pre-built index section ([`index_section`]).
+//!   [`binary::load_venue_model`] adopts those columns wholesale instead of
+//!   replaying the builders, which is what makes venue-scale cold start
+//!   cheap. Binary files are regenerated from their source, not migrated.
 //!
 //! The central type is [`VenueDocument`]: a flat, string-based description of
 //! a venue that can be captured from an in-memory model with
 //! [`VenueDocument::from_venue`] and rebuilt with [`VenueDocument::build`].
 //! Keywords are stored as strings (not interned ids) and topology as explicit
 //! directional connection records, so documents are portable across processes
-//! and may be edited by hand. In a v2 file the record body remains the source
-//! of truth: the columnar section (like the pre-built index section of
-//! [`index_section`]) is advisory, and any defect in it degrades the load to
-//! a record-body rebuild — a venue file never fails to load because of its
-//! optional sections.
+//! and may be edited by hand. A binary file's model section is not advisory:
+//! any defect in it fails the load with a [`PersistError`]. Only the index
+//! section is advisory — a defect there degrades to an index rebuild.
 //!
 //! ```
 //! use indoor_persist::{VenueDocument, json};
@@ -57,9 +56,8 @@ pub mod json;
 pub mod workload;
 
 pub use binary::{
-    decode_venue, decode_venue_file, encode_venue, encode_venue_columnar, encode_venue_with_index,
-    load_venue_binary, load_venue_binary_file, load_venue_model, load_venue_model_file,
-    save_venue_binary, save_venue_binary_with_index, save_venue_columnar, COLUMNAR_FILE_VERSION,
+    encode_venue_columnar, load_venue_model, load_venue_model_file, save_venue_columnar,
+    FILE_VERSION, VENUE_MAGIC,
 };
 pub use columnar::{DocumentLoadStats, LoadedVenue, COLUMNAR_FORMAT_VERSION, COLUMNAR_MAGIC};
 pub use document::{

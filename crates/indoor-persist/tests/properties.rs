@@ -1,7 +1,11 @@
 //! Property-based tests of the persistence layer: arbitrary structurally
-//! valid venue documents survive the JSON and binary round trips unchanged,
-//! and the binary decoder never panics on corrupted payloads.
+//! valid venue documents survive the JSON round trip unchanged, generated
+//! venues survive the binary round trip as the same model, and the binary
+//! loader never panics on truncated or corrupted files — a defect anywhere
+//! before the index section is always an error.
 
+use indoor_data::{mega_venue, MegaVenueConfig};
+use indoor_index::VenueIndex;
 use indoor_persist::{
     binary, json, ConnectionRecord, DoorRecord, FloorRecord, IntraOverrideRecord, KeywordRecord,
     LoopOverrideRecord, PartitionRecord, VenueDocument, FORMAT_VERSION,
@@ -194,37 +198,68 @@ proptest! {
     }
 
     #[test]
-    fn binary_round_trip_is_the_identity(doc in arb_document()) {
-        let payload = binary::encode_venue(&doc).unwrap();
-        let back = binary::decode_venue(&payload).unwrap();
-        prop_assert_eq!(back, doc);
+    fn binary_round_trip_is_the_identity(
+        seed in 0u64..1 << 16,
+        size in 60usize..120,
+        with_index in 0u8..2,
+    ) {
+        let (doc, payload, _) = binary_file(seed, size, with_index == 1);
+        let loaded = binary::load_venue_model(&payload).unwrap();
+        prop_assert!(loaded.stats.adopted_columnar);
+        prop_assert_eq!(&loaded.name, &doc.name);
+        let (space, directory) = doc.build().unwrap();
+        prop_assert_eq!(
+            VenueDocument::from_venue(&loaded.space, &loaded.directory, doc.grid_cell, loaded.name.clone()),
+            VenueDocument::from_venue(&space, &directory, doc.grid_cell, doc.name.clone())
+        );
     }
 
     #[test]
     fn binary_decoder_never_panics_on_truncated_payloads(
-        doc in arb_document(),
+        seed in 0u64..1 << 16,
         cut_fraction in 0.0f64..1.0,
     ) {
-        let payload = binary::encode_venue(&doc).unwrap();
+        let (_, payload, model_end) = binary_file(seed, 60, true);
         let cut = ((payload.len() as f64) * cut_fraction) as usize;
-        if cut < payload.len() {
-            // Must return an error, never panic.
-            prop_assert!(binary::decode_venue(&payload[..cut]).is_err());
+        match binary::load_venue_model(&payload[..cut]) {
+            // A cut inside the index section costs only the index.
+            Ok(loaded) => {
+                prop_assert!(cut >= model_end, "cut at {cut} loaded a partial model");
+                prop_assert!(cut == model_end || matches!(loaded.index, indoor_persist::IndexSection::Unusable(_)));
+            }
+            Err(_) => prop_assert!(cut < model_end, "cut at {cut} lost the intact model"),
         }
     }
 
     #[test]
     fn binary_decoder_never_panics_on_bit_flips(
-        doc in arb_document(),
-        flip_at in 0usize..4096,
+        seed in 0u64..1 << 16,
+        flip_at in 0usize..1 << 20,
         flip_mask in 1u8..=255,
     ) {
-        let payload = binary::encode_venue(&doc).unwrap();
-        let mut corrupted = payload.to_vec();
+        let (_, payload, model_end) = binary_file(seed, 60, true);
+        let mut corrupted = payload.clone();
         let idx = flip_at % corrupted.len();
         corrupted[idx] ^= flip_mask;
-        // Either the corruption is detected or it happens to produce another
-        // structurally valid document; both are fine, panics are not.
-        let _ = binary::decode_venue(&corrupted);
+        // Header and model-section bytes are all covered by the magic, the
+        // version word or the section checksum; index bytes are advisory.
+        let loaded = binary::load_venue_model(&corrupted);
+        prop_assert_eq!(loaded.is_err(), idx < model_end, "flip at {idx}");
     }
+}
+
+/// A generated venue's document, its binary file (with or without an index
+/// section) and the offset where the model section ends.
+fn binary_file(seed: u64, size: usize, with_index: bool) -> (VenueDocument, Vec<u8>, usize) {
+    let venue = mega_venue(&MegaVenueConfig::sized(size, seed)).unwrap();
+    let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 16.0, Some("prop".into()));
+    let (space, directory) = doc.build().unwrap();
+    let model_end = binary::encode_venue_columnar(&doc, &space, &directory, None)
+        .unwrap()
+        .len();
+    let index = with_index.then(|| VenueIndex::build(&space, &directory));
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, index.as_ref())
+        .unwrap()
+        .to_vec();
+    (doc, payload, model_end)
 }

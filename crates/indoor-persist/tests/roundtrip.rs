@@ -1,6 +1,6 @@
 //! End-to-end persistence tests: capture a venue, serialise it (JSON and
-//! binary), rebuild it, and check that IKRQ queries return identical results
-//! on the original and the rebuilt venue.
+//! binary), load it back, and check that IKRQ queries return identical
+//! results on the original and the loaded venue.
 
 use ikrq_core::{IkrqEngine, IkrqQuery, VariantConfig};
 use indoor_data::{paper_example_venue, SyntheticVenueConfig, Venue};
@@ -91,20 +91,20 @@ fn paper_example_round_trips_through_the_binary_codec() {
         10.0,
         Some("fig1".into()),
     );
-    let payload = binary::encode_venue(&doc).unwrap();
-    let back = binary::decode_venue(&payload).unwrap();
-    assert_eq!(back, doc);
+    let (space, directory) = doc.build().unwrap();
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, None).unwrap();
+    let loaded = binary::load_venue_model(&payload).unwrap();
+    assert_eq!(loaded.name, doc.name);
+    assert_eq!(
+        VenueDocument::from_venue(&loaded.space, &loaded.directory, 10.0, loaded.name.clone()),
+        doc
+    );
 
-    // Binary form is more compact than pretty JSON.
-    let json_text = json::to_json_string(&doc).unwrap();
-    assert!(payload.len() < json_text.len());
-
-    let (space, directory) = back.build().unwrap();
     let original = IkrqEngine::new(example.venue.space.clone(), example.venue.directory.clone());
-    let rebuilt = IkrqEngine::new(space, directory);
+    let adopted = IkrqEngine::new(loaded.space, loaded.directory);
     assert_same_results(
         &original,
-        &rebuilt,
+        &adopted,
         &example_queries(&example),
         VariantConfig::toe(),
     );
@@ -118,16 +118,22 @@ fn synthetic_single_floor_venue_round_trips_with_identical_topology_and_keywords
     assert_eq!(doc.num_partitions(), venue.space.num_partitions());
     assert_eq!(doc.num_doors(), venue.space.num_doors());
 
-    // Round trip through both encodings and compare documents.
+    // Round trip through JSON, then through a binary file of the rebuilt
+    // model, and compare documents.
     let through_json: VenueDocument =
         json::from_json_str(&json::to_json_string(&doc).unwrap()).unwrap();
-    let through_binary = binary::decode_venue(&binary::encode_venue(&doc).unwrap()).unwrap();
     assert_eq!(through_json, doc);
-    assert_eq!(through_binary, doc);
+    let (space, directory) = through_json.build().unwrap();
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, None).unwrap();
+    let loaded = binary::load_venue_model(&payload).unwrap();
+    assert_eq!(
+        VenueDocument::from_venue(&loaded.space, &loaded.directory, 25.0, None),
+        doc
+    );
 
-    // Rebuild and compare venue-level invariants: stairway overrides, door
-    // directionality, keyword assignment of every room.
-    let (space, directory) = through_binary.build().unwrap();
+    // Compare venue-level invariants of the adopted model: stairway
+    // overrides, door directionality, keyword assignment of every room.
+    let (space, directory) = (loaded.space, loaded.directory);
     assert_eq!(space.num_partitions(), venue.space.num_partitions());
     assert_eq!(space.num_doors(), venue.space.num_doors());
     assert_eq!(space.floors(), venue.space.floors());

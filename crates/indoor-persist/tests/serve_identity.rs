@@ -1,18 +1,19 @@
 //! Save → load → serve byte-identity, property-tested.
 //!
-//! A venue saved with a pre-built index section, loaded back, and served
-//! through the adopted index must answer every Table III algorithm variant
-//! byte-for-byte like a freshly built scan engine — across arbitrary
-//! generated venues and query workloads. A companion property flips
-//! arbitrary bytes inside the index section and asserts the loader always
-//! degrades to a rebuild instead of failing or panicking.
+//! A venue saved as a binary file with a pre-built index section, loaded
+//! back, and served through the adopted model and index must answer every
+//! Table III algorithm variant byte-for-byte like a freshly built scan
+//! engine — across arbitrary generated venues and query workloads. Two
+//! companion properties flip arbitrary bytes of the file: inside the model
+//! section the load must fail with a structured error, inside the index
+//! section it must degrade to an index rebuild; neither may panic.
 
 use ikrq_core::{
     ExecOptions, IkrqEngine, IkrqQuery, IkrqService, IndexMode, SearchRequest, VariantConfig,
 };
 use indoor_data::{mega_venue, MegaVenueConfig, QueryGenerator, QueryInstance, WorkloadConfig};
 use indoor_keywords::QueryKeywords;
-use indoor_persist::{binary, IndexSection, VenueDocument};
+use indoor_persist::{binary, IndexSection, PersistError, VenueDocument};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,63 +52,69 @@ fn single_venue_service(engine: IkrqEngine) -> IkrqService {
     service
 }
 
-/// Builds a venue, saves it pre-indexed, loads it back, and returns the
-/// encoded payload together with a serving service for the loaded engine
-/// and a scan-engine reference service over the same document.
-fn save_load_services(doc: &VenueDocument) -> (Vec<u8>, IkrqService, IkrqService) {
+/// A generated venue's document and its binary file, saved pre-indexed
+/// from the document's own rebuild (as `ikrq generate --save-indexed`
+/// does), plus the rebuilt engine it was written from.
+fn save_preindexed(size: usize, seed: u64) -> (VenueDocument, Vec<u8>, IkrqEngine) {
+    let venue = mega_venue(&MegaVenueConfig::sized(size, seed)).expect("mega venues build");
+    let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 16.0, Some("prop".into()));
     let (space, directory) = doc.build().expect("generated documents round-trip");
     let fresh = IkrqEngine::new(space, directory);
     let index = fresh.index().expect("default engines are accelerated");
-    let payload = binary::encode_venue_with_index(doc, index, fresh.directory())
-        .expect("generated documents encode")
-        .to_vec();
+    let payload =
+        binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(index))
+            .expect("generated documents encode")
+            .to_vec();
+    (doc, payload, fresh)
+}
 
-    let (loaded_doc, section) = binary::decode_venue_file(&payload).expect("payload decodes");
-    assert_eq!(&loaded_doc, doc, "document survives the round trip");
-    let (loaded_space, loaded_directory) = loaded_doc.build().expect("loaded documents round-trip");
-    let IndexSection::Present(prebuilt) = section else {
-        panic!("saved venue carries a usable index section, got {section:?}");
-    };
-    let loaded_index = prebuilt
-        .into_index(&loaded_directory)
-        .expect("persisted index binds to the rebuilt directory");
-    let loaded = IkrqEngine::with_prebuilt_index(loaded_space, loaded_directory, loaded_index);
-    assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
-
-    let (scan_space, scan_directory) = doc.build().expect("generated documents round-trip");
-    let scan = IkrqEngine::with_index_mode(scan_space, scan_directory, IndexMode::Scan);
-    (
-        payload,
-        single_venue_service(loaded),
-        single_venue_service(scan),
-    )
+/// Where the model section of a binary file ends: after the 10-byte file
+/// header and the framed section (14-byte header, body, 8-byte checksum;
+/// the body length sits at bytes 10..14 of the section).
+fn model_section_end(payload: &[u8]) -> usize {
+    let body_len = u32::from_le_bytes(payload[20..24].try_into().unwrap()) as usize;
+    10 + 14 + body_len + 8
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The loaded-index serving path is an exact stand-in for the scan
-    /// path under every Table III variant.
+    /// A binary file adopted wholesale, with its persisted index, serves
+    /// byte-for-byte like the in-memory scan engine under every Table III
+    /// variant.
     #[test]
-    fn saved_preindexed_venues_serve_byte_identically(
+    fn columnar_saved_venues_serve_byte_identically(
         seed in 0u64..1 << 16,
         size in 60usize..160,
     ) {
-        let venue = mega_venue(&MegaVenueConfig::sized(size, seed)).expect("mega venues build");
-        let doc = VenueDocument::from_venue(
-            &venue.space,
-            &venue.directory,
-            16.0,
-            Some("prop".into()),
-        );
-        let (_, loaded_service, scan_service) = save_load_services(&doc);
+        let (doc, payload, _) = save_preindexed(size, seed);
+        let loaded = binary::load_venue_model(&payload).expect("binary venues load");
+        prop_assert!(loaded.stats.adopted_columnar, "binary files adopt their columns");
+        prop_assert_eq!(loaded.stats.format_version, binary::FILE_VERSION);
+        let IndexSection::Present(prebuilt) = loaded.index else {
+            panic!("binary venue carries a usable index section");
+        };
+        let index = prebuilt
+            .into_index(&loaded.directory)
+            .expect("persisted index binds to the adopted directory");
+        let engine = IkrqEngine::with_prebuilt_index(loaded.space, loaded.directory, index);
+        prop_assert!(engine.index().is_some_and(|i| i.loaded_from_disk()));
+        let loaded_service = single_venue_service(engine);
 
+        let (scan_space, scan_directory) = doc.build().expect("generated documents round-trip");
+        let scan_service = single_venue_service(IkrqEngine::with_index_mode(
+            scan_space,
+            scan_directory,
+            IndexMode::Scan,
+        ));
+
+        let venue = mega_venue(&MegaVenueConfig::sized(size, seed)).expect("mega venues build");
         let generator = QueryGenerator::new(&venue);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x1de2);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc01a);
         let instances = generator.generate_batch(&workload(), 2, &mut rng);
         if instances.is_empty() {
             // Tiny venues occasionally yield no satisfiable instance; the
-            // round-trip assertions in `save_load_services` still ran.
+            // load assertions above still ran.
             return Ok(());
         }
 
@@ -123,83 +130,7 @@ proptest! {
                 prop_assert_eq!(
                     loaded.deterministic_json(),
                     scan.deterministic_json(),
-                    "variant {} diverged on a loaded index",
-                    variant.label()
-                );
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// A v2 columnar file adopted wholesale serves byte-for-byte like the
-    /// v1-loaded rebuild path and the in-memory scan engine under every
-    /// Table III variant.
-    #[test]
-    fn columnar_saved_venues_serve_byte_identically(
-        seed in 0u64..1 << 16,
-        size in 60usize..160,
-    ) {
-        let venue = mega_venue(&MegaVenueConfig::sized(size, seed)).expect("mega venues build");
-        let doc = VenueDocument::from_venue(
-            &venue.space,
-            &venue.directory,
-            16.0,
-            Some("prop".into()),
-        );
-        let (_, v1_service, scan_service) = save_load_services(&doc);
-
-        let (space, directory) = doc.build().expect("generated documents round-trip");
-        let fresh = IkrqEngine::new(space, directory);
-        let index = fresh.index().expect("default engines are accelerated");
-        let payload =
-            binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(index))
-                .expect("generated documents encode as columnar");
-        let loaded = binary::load_venue_model(payload.as_ref()).expect("columnar venues load");
-        prop_assert!(loaded.stats.adopted_columnar, "intact v2 files adopt their columns");
-        prop_assert!(loaded.stats.degraded.is_none());
-        prop_assert_eq!(loaded.stats.format_version, 2);
-        let IndexSection::Present(prebuilt) = loaded.index else {
-            panic!("columnar venue carries a usable index section");
-        };
-        let v2_index = prebuilt
-            .into_index(&loaded.directory)
-            .expect("persisted index binds to the adopted directory");
-        let v2_service = single_venue_service(IkrqEngine::with_prebuilt_index(
-            loaded.space,
-            loaded.directory,
-            v2_index,
-        ));
-
-        let generator = QueryGenerator::new(&venue);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xc01a);
-        let instances = generator.generate_batch(&workload(), 2, &mut rng);
-        if instances.is_empty() {
-            return Ok(());
-        }
-
-        for variant in VariantConfig::all_variants() {
-            for instance in &instances {
-                let request = SearchRequest {
-                    venue: "prop".to_string(),
-                    query: to_query(instance),
-                    options: ExecOptions::with_variant(variant),
-                };
-                let v2 = v2_service.search(&request).expect("columnar query succeeds");
-                let v1 = v1_service.search(&request).expect("v1-loaded query succeeds");
-                let scan = scan_service.search(&request).expect("scan query succeeds");
-                prop_assert_eq!(
-                    v2.deterministic_json(),
-                    scan.deterministic_json(),
-                    "variant {} diverged between columnar and scan",
-                    variant.label()
-                );
-                prop_assert_eq!(
-                    v2.deterministic_json(),
-                    v1.deterministic_json(),
-                    "variant {} diverged between columnar and v1-loaded",
+                    "variant {} diverged between the binary-loaded and scan engines",
                     variant.label()
                 );
             }
@@ -210,73 +141,41 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any single-byte corruption of a v2 file's columnar section degrades
-    /// the load to a v1-style record rebuild — never a failure — and the
-    /// rebuilt model is indistinguishable from the uncorrupted one.
+    /// Any single-byte corruption of a binary file's model section —
+    /// header, length, body or checksum — fails the load with a structured
+    /// error: never a panic, never a silently adopted model.
     #[test]
-    fn corrupted_columnar_sections_degrade_to_rebuild(
+    fn corrupted_model_sections_fail_with_a_structured_error(
         seed in 0u64..1 << 16,
         offset_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let venue = mega_venue(&MegaVenueConfig::sized(80, seed)).expect("mega venues build");
-        let doc = VenueDocument::from_venue(
-            &venue.space,
-            &venue.directory,
-            16.0,
-            Some("prop".into()),
-        );
-        let (space, directory) = doc.build().expect("generated documents round-trip");
-        let fresh = IkrqEngine::new(space, directory);
-        let index = fresh.index().expect("default engines are accelerated");
-        let payload =
-            binary::encode_venue_columnar(&doc, fresh.space(), fresh.directory(), Some(index))
-                .expect("generated documents encode as columnar")
-                .to_vec();
+        let (_, payload, _) = save_preindexed(80, seed);
+        let (section_start, section_end) = (10, model_section_end(&payload));
+        prop_assert!(section_end < payload.len(), "payload carries an index section");
 
-        // v2 layout: 14-byte file header, the advisory record body (length
-        // at bytes 10..14), then the framed columnar section (its body
-        // length at bytes 10..14 of the section, between an own 14-byte
-        // header and an 8-byte checksum trailer).
-        let record_len = u32::from_le_bytes(payload[10..14].try_into().unwrap()) as usize;
-        let section_start = 14 + record_len;
-        let body_len = u32::from_le_bytes(
-            payload[section_start + 10..section_start + 14].try_into().unwrap(),
-        ) as usize;
-        let section_len = 14 + body_len + 8;
-        prop_assert!(section_start + section_len <= payload.len());
-
-        let offset = section_start + ((section_len as f64 * offset_frac) as usize).min(section_len - 1);
+        let span = section_end - section_start;
+        let offset = section_start + ((span as f64 * offset_frac) as usize).min(span - 1);
         let mut corrupt = payload.clone();
         corrupt[offset] ^= flip;
 
-        let loaded = binary::load_venue_model(&corrupt)
-            .expect("a corrupted columnar section never fails the load");
-        prop_assert_eq!(loaded.stats.format_version, 2);
-        if !loaded.stats.adopted_columnar {
-            let reason = loaded.stats.degraded.expect("degraded loads record why");
-            prop_assert!(!reason.is_empty());
+        match binary::load_venue_model(&corrupt) {
+            Ok(_) => prop_assert!(false, "flip at {offset} still loaded"),
+            Err(error) => {
+                prop_assert!(
+                    matches!(error, PersistError::Binary(_) | PersistError::InvalidDocument(_)),
+                    "flip at {offset}: unexpected error kind {error:?}"
+                );
+                prop_assert!(!error.to_string().is_empty());
+            }
         }
-        // Adopted or rebuilt, the served model is the same venue: the
-        // record body is the source of truth and the flip never touched it.
-        prop_assert_eq!(
-            loaded.directory.fingerprint(),
-            fresh.directory().fingerprint(),
-            "keyword directory survives columnar corruption"
-        );
-        prop_assert_eq!(loaded.space.num_partitions(), fresh.space().num_partitions());
-        prop_assert_eq!(loaded.space.num_doors(), fresh.space().num_doors());
-        prop_assert_eq!(
-            loaded.space.door_graph().num_edges(),
-            fresh.space().door_graph().num_edges()
-        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any single-byte corruption of the index section leaves the document
+    /// Any single-byte corruption of the index section leaves the model
     /// loadable: the section either still binds (flip landed outside the
     /// covered bytes — impossible past the magic, but the property does not
     /// assume it) or degrades to a rebuild, never a hard failure.
@@ -286,15 +185,8 @@ proptest! {
         offset_frac in 0.0f64..1.0,
         flip in 1u8..=255,
     ) {
-        let venue = mega_venue(&MegaVenueConfig::sized(80, seed)).expect("mega venues build");
-        let doc = VenueDocument::from_venue(
-            &venue.space,
-            &venue.directory,
-            16.0,
-            Some("prop".into()),
-        );
-        let (payload, _, _) = save_load_services(&doc);
-        let section_start = binary::encode_venue(&doc).expect("documents encode").len();
+        let (_, payload, fresh) = save_preindexed(80, seed);
+        let section_start = model_section_end(&payload);
         prop_assert!(section_start < payload.len(), "payload carries a section");
 
         let span = payload.len() - section_start;
@@ -302,17 +194,21 @@ proptest! {
         let mut corrupt = payload.clone();
         corrupt[offset] ^= flip;
 
-        let (back, section) = binary::decode_venue_file(&corrupt)
-            .expect("document decode is independent of the index section");
-        prop_assert_eq!(&back, &doc);
-        match section {
+        let loaded = binary::load_venue_model(&corrupt)
+            .expect("the model loads whatever happened to the index section");
+        prop_assert_eq!(
+            loaded.directory.fingerprint(),
+            fresh.directory().fingerprint(),
+            "keyword directory survives index corruption"
+        );
+        prop_assert_eq!(loaded.space.num_doors(), fresh.space().num_doors());
+        match loaded.index {
             IndexSection::Unusable(reason) => prop_assert!(!reason.is_empty()),
             IndexSection::Present(prebuilt) => {
                 // A surviving checksum means the flip must still decode into
                 // a structurally sound index or be rejected at binding time;
                 // either way the loader keeps going.
-                let (_, directory) = back.build().expect("documents round-trip");
-                let _ = prebuilt.into_index(&directory);
+                let _ = prebuilt.into_index(&loaded.directory);
             }
             IndexSection::Absent => prop_assert!(false, "section bytes cannot vanish"),
         }

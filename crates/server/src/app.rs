@@ -190,18 +190,16 @@ struct VenueIndexBody {
 /// Per-venue document-load observability inside [`VenueIndexBody`].
 #[derive(Serialize)]
 struct VenueDocumentBody {
-    /// File format version the venue was loaded from (`2` columnar binary,
-    /// `1` record binary, `0` JSON).
+    /// File format version the venue was loaded from (`3` binary, `0`
+    /// JSON).
     format_version: u16,
-    /// Whether the model was adopted from a persisted columnar section
-    /// rather than rebuilt from document records.
+    /// Whether the model was adopted from a binary file's model section
+    /// rather than rebuilt from a JSON document.
     adopted_columnar: bool,
-    /// Milliseconds spent decoding bytes into records or columns.
+    /// Milliseconds spent decoding bytes into a document or columns.
     decode_ms: f64,
     /// Milliseconds spent turning the decoded form into the model.
     adopt_ms: f64,
-    /// Why a columnar file fell back to the record rebuild, when it did.
-    degraded: Option<String>,
 }
 
 #[derive(Deserialize)]
@@ -317,7 +315,6 @@ impl IkrqApp {
                     adopted_columnar: d.adopted_columnar,
                     decode_ms: d.decode_micros as f64 / 1e3,
                     adopt_ms: d.adopt_micros as f64 / 1e3,
-                    degraded: d.degraded.clone(),
                 }),
             });
         }

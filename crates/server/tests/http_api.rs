@@ -643,11 +643,10 @@ fn stats_expose_document_load_observability() {
     let mut engine =
         ikrq_core::IkrqEngine::new(example.venue.space.clone(), example.venue.directory.clone());
     engine.set_document_stats(ikrq_core::DocumentStats {
-        format_version: 2,
+        format_version: 3,
         adopted_columnar: true,
         decode_micros: 1500,
         adopt_micros: 250,
-        degraded: None,
     });
     let service = Arc::new(IkrqService::new());
     service.register_engine("fig1", Arc::new(engine)).unwrap();
@@ -661,12 +660,12 @@ fn stats_expose_document_load_observability() {
         .as_array()
         .unwrap();
     let document = venues[0].get("document").unwrap();
-    assert_eq!(document.get("format_version").unwrap().as_u64(), Some(2));
+    assert_eq!(document.get("format_version").unwrap().as_u64(), Some(3));
     assert_eq!(
         document.get("adopted_columnar").unwrap().as_bool(),
         Some(true)
     );
     assert_eq!(document.get("decode_ms").unwrap().as_f64(), Some(1.5));
     assert_eq!(document.get("adopt_ms").unwrap().as_f64(), Some(0.25));
-    assert!(document.get("degraded").unwrap().is_null());
+    assert!(document.get("degraded").is_none());
 }

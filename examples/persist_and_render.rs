@@ -1,6 +1,6 @@
 //! Persist-and-render tour: capture a venue into a portable document, save it
-//! as JSON and in the compact binary format, reload it, run an IKRQ against
-//! the reloaded venue, apply the two optional extensions (soft distance
+//! as JSON and as a binary venue file, load the binary file, run an IKRQ
+//! against the loaded venue, apply the two optional extensions (soft distance
 //! constraint and popularity re-ranking), and render the best route as SVG.
 //!
 //! ```text
@@ -32,7 +32,10 @@ fn main() {
     let json_path = out_dir.join("venue.json");
     let bin_path = out_dir.join("venue.ikrq");
     json::save_venue_json(&doc, &json_path).expect("save JSON venue");
-    binary::save_venue_binary(&doc, &bin_path).expect("save binary venue");
+    // The binary file holds the model the JSON document rebuilds into.
+    let (space, directory) = doc.build().expect("rebuild venue");
+    binary::save_venue_columnar(&doc, &space, &directory, None, &bin_path)
+        .expect("save binary venue");
     println!(
         "saved venue: {} ({} bytes JSON, {} bytes binary)",
         doc.name.as_deref().unwrap_or("unnamed"),
@@ -40,14 +43,16 @@ fn main() {
         std::fs::metadata(&bin_path).unwrap().len(),
     );
 
-    // 2. Reload the binary document and rebuild the venue. The two encodings
-    //    describe exactly the same model.
-    let reloaded = binary::load_venue_binary(&bin_path).expect("load binary venue");
-    assert_eq!(reloaded, doc);
-    let (space, directory) = reloaded.build().expect("rebuild venue");
+    // 2. Load the binary file: its model is adopted as stored, and describes
+    //    exactly the venue of the JSON document.
+    let loaded = binary::load_venue_model_file(&bin_path).expect("load binary venue");
+    assert_eq!(
+        VenueDocument::from_venue(&loaded.space, &loaded.directory, 10.0, loaded.name),
+        doc
+    );
     let service = IkrqService::new();
     let engine = service
-        .register_venue("fig1-example", space, directory)
+        .register_venue("fig1-example", loaded.space, loaded.directory)
         .expect("venue registers");
 
     // 3. The running-example query, saved into a replayable workload.

@@ -1,7 +1,7 @@
 //! Workspace-level integration tests for the persistence and visualisation
 //! layers driven through the `ikrq` facade crate: capture a generated venue,
-//! round-trip it through both document encodings, replay a saved workload on
-//! the rebuilt venue, and render the resulting routes and figure charts.
+//! round-trip it through a binary venue file, replay a saved workload on
+//! the loaded venue, and render the resulting routes and figure charts.
 
 use ikrq::persist::{binary, json, VenueDocument, WorkloadDocument};
 use ikrq::prelude::*;
@@ -28,7 +28,8 @@ fn synthetic_venue_survives_persistence_and_replays_a_saved_workload() {
 
     // Save venue + workload.
     let doc = VenueDocument::from_venue(&venue.space, &venue.directory, 25.0, Some("test".into()));
-    let payload = binary::encode_venue(&doc).unwrap();
+    let (space, directory) = doc.build().unwrap();
+    let payload = binary::encode_venue_columnar(&doc, &space, &directory, None).unwrap();
     let mut workload = WorkloadDocument::new("integration workload");
     let queries: Vec<IkrqQuery> = instances
         .iter()
@@ -49,13 +50,15 @@ fn synthetic_venue_survives_persistence_and_replays_a_saved_workload() {
     }
     let workload_json = json::to_json_string(&workload).unwrap();
 
-    // Reload everything and replay: the rebuilt venue must return identical
+    // Reload everything and replay: the loaded venue must return identical
     // scores for every replayed query.
-    let rebuilt_doc = binary::decode_venue(&payload).unwrap();
-    assert_eq!(rebuilt_doc, doc);
-    let (space, directory) = rebuilt_doc.build().unwrap();
+    let loaded = binary::load_venue_model(&payload).unwrap();
+    assert_eq!(
+        VenueDocument::from_venue(&loaded.space, &loaded.directory, 25.0, loaded.name),
+        doc
+    );
     let original_engine = IkrqEngine::new(venue.space.clone(), venue.directory.clone());
-    let rebuilt_engine = IkrqEngine::new(space, directory);
+    let rebuilt_engine = IkrqEngine::new(loaded.space, loaded.directory);
     let replayed: WorkloadDocument = json::from_json_str(&workload_json).unwrap();
     for (query, record) in queries.iter().zip(replayed.queries.iter()) {
         let replay_query = record.to_query().unwrap();
