@@ -326,7 +326,9 @@ pub fn fig13(ctx: &ExperimentContext) -> FigureReport {
     )
 }
 
-/// Fig. 14: memory of KoE vs. KoE* across η.
+/// Fig. 14: memory of KoE vs. KoE* across η. KoE* keeps no precomputed
+/// door paths here, so unlike in the paper it does not use more memory
+/// than KoE.
 pub fn fig14(ctx: &ExperimentContext) -> FigureReport {
     let etas = vec![1.2, 1.4, 1.6, 1.8, 2.0];
     sweep(

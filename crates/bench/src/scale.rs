@@ -92,10 +92,6 @@ pub struct ScalePoint {
     /// Peak per-query search memory on the accelerated engine, bytes
     /// (includes the shared index charge).
     pub accelerated_peak_memory: usize,
-    /// KoE* distance rows materialized after the KoE* probe queries.
-    pub koe_star_rows: usize,
-    /// Total door rows the eager matrix would have built.
-    pub koe_star_total_rows: usize,
     /// Pre-indexed binary encode + write time in milliseconds.
     pub save_ms: f64,
     /// Full cold load in milliseconds: read the file, adopt the model
@@ -266,18 +262,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         .sum::<f64>()
         / instances.len() as f64;
 
-    // KoE* probe: a few precomputed-path queries, then read how many door
-    // rows actually materialized.
-    for instance in instances.iter().take(3) {
-        let query = to_query(instance);
-        accelerated
-            .execute(
-                &query,
-                &ExecOptions::with_variant(VariantConfig::koe_star()),
-            )
-            .expect("KoE* probe succeeds");
-    }
-
     // Persistence round trip: capture the venue as a document, save it as a
     // binary file with a pre-built index section, cold-load it back, and
     // answer the same workload through the loaded engine.
@@ -388,8 +372,6 @@ fn run_scale_point(size: usize, queries: usize, seed: u64) -> ScalePoint {
         candidate_fraction,
         scan_peak_memory: scan_peak,
         accelerated_peak_memory: accel_peak,
-        koe_star_rows: accelerated.precomputed_rows(),
-        koe_star_total_rows: stats.doors,
         save_ms,
         load_ms,
         index_load_ms,
@@ -408,14 +390,14 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
     let mut out = String::from(
         "| partitions | doors | gen ms | space ms | build ms | save ms | load ms | \
          idx load ms | doc dec ms | doc adopt ms | rebuild ms | index KiB | scan q/s | index q/s | \
-         cand. frac | scan peak KiB | index peak KiB | KoE* rows | RSS MiB | identical |\n\
-         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
+         cand. frac | scan peak KiB | index peak KiB | RSS MiB | identical |\n\
+         |---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n",
     );
     for p in points {
         out.push_str(&format!(
             "| {} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1} | {:.2} | {:.2} | {:.2} | {:.1} | \
              {} | {:.1} | {:.1} | \
-             {:.4} | {} | {} | {}/{} | {} | {} |\n",
+             {:.4} | {} | {} | {} | {} |\n",
             p.partitions,
             p.doors,
             p.generate_ms,
@@ -433,8 +415,6 @@ pub fn markdown_table(points: &[ScalePoint]) -> String {
             p.candidate_fraction,
             p.scan_peak_memory / 1024,
             p.accelerated_peak_memory / 1024,
-            p.koe_star_rows,
-            p.koe_star_total_rows,
             p.peak_rss_kib / 1024,
             p.identical_responses && p.loaded_identical && p.columnar_adopted,
         ));
@@ -476,14 +456,6 @@ mod tests {
         assert!(p.generate_ms > 0.0 && p.space_build_ms > 0.0);
         assert!(p.save_ms > 0.0 && p.load_ms > 0.0 && p.index_load_ms > 0.0);
         assert!(p.doc_decode_ms > 0.0 && p.model_adopt_ms > 0.0 && p.doc_rebuild_ms > 0.0);
-        // The KoE* probe touches only a fraction of the door rows.
-        assert!(p.koe_star_rows > 0, "KoE* probes materialize rows");
-        assert!(
-            p.koe_star_rows < p.koe_star_total_rows,
-            "lazy rows stay sublinear: {} of {}",
-            p.koe_star_rows,
-            p.koe_star_total_rows
-        );
         let table = markdown_table(&points);
         assert!(table.contains("| scan q/s |") || table.contains("scan q/s"));
     }

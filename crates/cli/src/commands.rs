@@ -72,8 +72,6 @@ COMMANDS:
                --max-requests-per-conn N       recycle connections after N requests (default: unlimited)
                --index true|false              venue index: keyword/region-accelerated queries
                                                (default) or the original linear scans
-               --koe-rows-cap N                bound on cached KoE* distance rows per venue
-                                               (default: sized from a 256 MiB budget)
                --cache-capacity N              response-cache entries (default 4096, 0 disables)
                --cache-shards N                response-cache shards (default 8)
                (POST /v1/admin/reload re-reads a venue's document from disk
@@ -257,7 +255,6 @@ fn load_venue(path: &str) -> Result<LoadedVenue> {
 fn build_serving_engine(
     path: &str,
     index_mode: ikrq_core::IndexMode,
-    koe_rows_cap: Option<usize>,
 ) -> Result<(ikrq_core::IkrqEngine, Option<String>)> {
     let LoadedVenue {
         name,
@@ -283,9 +280,6 @@ fn build_serving_engine(
             ikrq_core::IkrqEngine::with_index_mode(space, directory, mode)
         }
     };
-    if let Some(cap) = koe_rows_cap {
-        engine.set_koe_rows_cap(cap);
-    }
     engine.set_document_stats(ikrq_core::DocumentStats {
         format_version: stats.format_version,
         adopted_columnar: stats.adopted_columnar,
@@ -619,7 +613,7 @@ fn batch(args: &ParsedArgs) -> Result<String> {
 pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
     args.reject_unknown(&[
         "venues addr workers max-in-flight max-connections idle-timeout",
-        "max-requests-per-conn index koe-rows-cap cache-capacity cache-shards",
+        "max-requests-per-conn index cache-capacity cache-shards",
     ])?;
     let paths = args.get_list("venues");
     if paths.is_empty() {
@@ -631,17 +625,11 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
         Some(false) => ikrq_core::IndexMode::Scan,
         _ => ikrq_core::IndexMode::Accelerated,
     };
-    let koe_rows_cap = args.get_usize("koe-rows-cap")?;
-    if koe_rows_cap == Some(0) {
-        return Err(CliError::Usage(
-            "flag `--koe-rows-cap` must be at least 1".into(),
-        ));
-    }
     let service = std::sync::Arc::new(IkrqService::new());
     let mut documents: std::collections::BTreeMap<String, String> =
         std::collections::BTreeMap::new();
     for path in &paths {
-        let (engine, name) = build_serving_engine(path, index_mode, koe_rows_cap)?;
+        let (engine, name) = build_serving_engine(path, index_mode)?;
         let venue_id = name.unwrap_or_else(|| path.clone());
         service
             .register_engine(&venue_id, std::sync::Arc::new(engine))
@@ -654,8 +642,8 @@ pub fn start_server(args: &ParsedArgs) -> Result<ikrq_server::ServerHandle> {
         let path = documents
             .get(venue_id)
             .ok_or_else(|| format!("venue `{venue_id}` was not loaded from a document"))?;
-        let (engine, _) = build_serving_engine(path, index_mode, koe_rows_cap)
-            .map_err(|error| error.to_string())?;
+        let (engine, _) =
+            build_serving_engine(path, index_mode).map_err(|error| error.to_string())?;
         Ok(std::sync::Arc::new(engine))
     });
 
@@ -941,17 +929,15 @@ mod tests {
         assert!(report.contains("pre-indexed"), "report: {report}");
 
         // The seam `serve` uses: a pre-indexed binary adopts its section, a
-        // plain JSON document rebuilds, and the row cap is applied.
-        let (loaded, name) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, Some(64)).unwrap();
+        // plain JSON document rebuilds.
+        let (loaded, name) = build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated).unwrap();
         assert!(loaded.index().is_some_and(|i| i.loaded_from_disk()));
-        assert_eq!(loaded.koe_rows_capacity(), 64);
         assert_eq!(name.as_deref(), Some("mega-150p-seed9"));
         let doc_stats = loaded.document_stats().expect("loaded from a document");
         assert_eq!(doc_stats.format_version, binary::FILE_VERSION);
         assert!(doc_stats.adopted_columnar, "stats: {doc_stats:?}");
         let (fresh, _) =
-            build_serving_engine(&json_path, ikrq_core::IndexMode::Accelerated, None).unwrap();
+            build_serving_engine(&json_path, ikrq_core::IndexMode::Accelerated).unwrap();
         assert!(fresh.index().is_some_and(|i| !i.loaded_from_disk()));
         let fresh_stats = fresh.document_stats().expect("loaded from a document");
         assert_eq!(fresh_stats.format_version, 0);
@@ -1005,8 +991,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 5] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let (degraded, _) =
-            build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None).unwrap();
+        let (degraded, _) = build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated).unwrap();
         assert!(degraded.index().is_some_and(|i| !i.loaded_from_disk()));
         assert!(degraded.document_stats().unwrap().adopted_columnar);
 
@@ -1014,7 +999,7 @@ mod tests {
         // the file and the defect.
         bytes[30] ^= 0xff;
         std::fs::write(&bin, &bytes).unwrap();
-        let Err(error) = build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated, None) else {
+        let Err(error) = build_serving_engine(&bin, ikrq_core::IndexMode::Accelerated) else {
             panic!("a damaged model section must fail the load");
         };
         assert!(

@@ -411,9 +411,14 @@ fn unknown_and_removed_flags_are_usage_errors() {
         "binary",
     );
 
-    // The retired connection-model switches of `serve` fail loudly. (Through
-    // `start_server`, so a regression fails here instead of serving forever.)
-    for flag in ["reactor", "keep-alive"] {
+    // The retired connection-model switches and KoE* row-cache bound of
+    // `serve` fail loudly. (Through `start_server`, so a regression fails
+    // here instead of serving forever.)
+    for (flag, value) in [
+        ("reactor", "false"),
+        ("keep-alive", "false"),
+        ("koe-rows-cap", "64"),
+    ] {
         let args = ikrq_cli::ParsedArgs::parse([
             "serve",
             "--venues",
@@ -421,7 +426,7 @@ fn unknown_and_removed_flags_are_usage_errors() {
             "--addr",
             "127.0.0.1:0",
             &format!("--{flag}"),
-            "false",
+            value,
         ])
         .unwrap();
         assert_rejects(ikrq_cli::commands::start_server(&args).map(drop), flag);

@@ -3,7 +3,6 @@
 
 use crate::context::SearchContext;
 use crate::framework::Search;
-use crate::precompute::PrecomputedPaths;
 use crate::query::IkrqQuery;
 use crate::request::ExecOptions;
 use crate::results::SearchOutcome;
@@ -13,7 +12,7 @@ use indoor_index::{IndexCounterSnapshot, VenueIndex};
 use indoor_keywords::KeywordDirectory;
 use indoor_space::IndoorSpace;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Whether an engine answers queries through the venue index or the original
 /// linear scans. Accelerated is the default; Scan is the `--index false`
@@ -77,17 +76,13 @@ pub struct IndexStats {
 /// The engine owns the immutable space model and keyword directory, the
 /// optional venue index (built eagerly at construction in
 /// [`IndexMode::Accelerated`], so its build time is a constructor-time cost
-/// and not query jitter), and the per-door-row KoE* distance cache (created
-/// on first use behind a [`OnceLock`]; individual rows materialise lazily).
+/// and not query jitter). Queries keep no state in the engine: every
+/// variant, KoE* included, runs its own ∆-bounded searches.
 #[derive(Debug)]
 pub struct IkrqEngine {
-    space: Arc<IndoorSpace>,
+    space: IndoorSpace,
     directory: KeywordDirectory,
     index: Option<Arc<VenueIndex>>,
-    precomputed: OnceLock<Arc<PrecomputedPaths>>,
-    /// Explicit KoE* row-cache capacity (`--koe-rows-cap`); `None` sizes the
-    /// cache from the default byte budget when the cache is first created.
-    koe_rows_cap: Option<usize>,
     /// How the venue document was loaded, when the engine came from one.
     document_stats: Option<DocumentStats>,
 }
@@ -106,7 +101,6 @@ impl IkrqEngine {
         directory: KeywordDirectory,
         mode: IndexMode,
     ) -> Self {
-        let space = Arc::new(space);
         let index = match mode {
             IndexMode::Accelerated => Some(Arc::new(VenueIndex::build(&space, &directory))),
             IndexMode::Scan => None,
@@ -115,8 +109,6 @@ impl IkrqEngine {
             space,
             directory,
             index,
-            precomputed: OnceLock::new(),
-            koe_rows_cap: None,
             document_stats: None,
         }
     }
@@ -132,11 +124,9 @@ impl IkrqEngine {
         index: VenueIndex,
     ) -> Self {
         IkrqEngine {
-            space: Arc::new(space),
+            space,
             directory,
             index: Some(Arc::new(index)),
-            precomputed: OnceLock::new(),
-            koe_rows_cap: None,
             document_stats: None,
         }
     }
@@ -151,36 +141,6 @@ impl IkrqEngine {
     /// How the venue document was loaded, when the engine came from one.
     pub fn document_stats(&self) -> Option<&DocumentStats> {
         self.document_stats.as_ref()
-    }
-
-    /// Sets an explicit KoE* row-cache capacity. Must be called before the
-    /// first KoE* query creates the cache; later calls are ignored (the
-    /// `OnceLock`ed cache keeps the capacity it was created with).
-    pub fn set_koe_rows_cap(&mut self, capacity: usize) {
-        self.koe_rows_cap = Some(capacity.max(1));
-    }
-
-    /// The KoE* row-cache capacity: the explicit override when set,
-    /// otherwise the default budget-derived capacity for this venue.
-    pub fn koe_rows_capacity(&self) -> usize {
-        self.koe_rows_cap
-            .unwrap_or_else(|| indoor_index::LazyDoorRows::default_capacity(self.space.num_doors()))
-    }
-
-    /// KoE* row-cache counters (capacity, resident rows, hits, misses,
-    /// evictions). Reports an all-zero snapshot with the configured capacity
-    /// before the first KoE* query creates the cache.
-    pub fn koe_rows_stats(&self) -> indoor_index::RowCacheStats {
-        match self.precomputed.get() {
-            Some(p) => p.cache_stats(),
-            None => indoor_index::RowCacheStats {
-                capacity: self.koe_rows_capacity(),
-                resident: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            },
-        }
     }
 
     /// The venue's space model.
@@ -217,36 +177,6 @@ impl IkrqEngine {
         })
     }
 
-    /// Forces the KoE* row cache to materialise every door row now
-    /// (otherwise rows materialise as KoE* queries touch them) and returns
-    /// its memory footprint in bytes.
-    pub fn prepare_precomputed_paths(&self) -> usize {
-        self.precomputed_paths().warm()
-    }
-
-    /// Number of KoE* distance rows materialised so far (0 before any KoE*
-    /// query touches the cache). The row cache is lazy, so this stays
-    /// proportional to the doors actually visited unless the whole matrix is
-    /// warmed with [`IkrqEngine::prepare_precomputed_paths`].
-    pub fn precomputed_rows(&self) -> usize {
-        self.precomputed.get().map_or(0, |p| p.materialized_rows())
-    }
-
-    /// Estimated heap footprint of the KoE* row cache in bytes.
-    pub fn precomputed_bytes(&self) -> usize {
-        self.precomputed.get().map_or(0, |p| p.estimated_bytes())
-    }
-
-    fn precomputed_paths(&self) -> Arc<PrecomputedPaths> {
-        Arc::clone(self.precomputed.get_or_init(|| {
-            let space = Arc::clone(&self.space);
-            Arc::new(match self.koe_rows_cap {
-                Some(cap) => PrecomputedPaths::with_capacity(space, cap),
-                None => PrecomputedPaths::new(space),
-            })
-        }))
-    }
-
     /// Answers a query under per-request [`ExecOptions`] (variant, metrics
     /// detail, expansion budget). This is the engine-level entry point the
     /// service layer uses; multi-venue callers should go through
@@ -266,11 +196,7 @@ impl IkrqEngine {
                 .queries_accelerated
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let precomputed = config
-            .use_precomputed_paths
-            .then(|| self.precomputed_paths());
-        let search = Search::new(&ctx, config, precomputed.as_deref());
-        Ok(search.run())
+        Ok(Search::new(&ctx, config, None).run())
     }
 
     /// Runs every variant of Table III on the same query, in the paper's

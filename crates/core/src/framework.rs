@@ -53,22 +53,24 @@ pub(crate) struct SearchState {
 pub struct Search<'a> {
     pub(crate) ctx: &'a SearchContext<'a>,
     pub(crate) config: VariantConfig,
-    pub(crate) precomputed: Option<&'a PrecomputedPaths>,
     pub(crate) state: SearchState,
 }
 
 impl<'a> Search<'a> {
-    /// Creates a search run.
+    /// Creates a search run. KoE* is selected by
+    /// [`VariantConfig::use_precomputed_paths`] alone; `_precomputed` is
+    /// ignored and remains only because the serving benchmark
+    /// (`perfbench/src/layers.rs`) still passes it — drop it together with
+    /// [`PrecomputedPaths`] in the next change to the benchmark.
     pub fn new(
         ctx: &'a SearchContext<'a>,
         config: VariantConfig,
-        precomputed: Option<&'a PrecomputedPaths>,
+        _precomputed: Option<&PrecomputedPaths>,
     ) -> Self {
         let results = TopKResults::new(ctx.query.k, config.use_prime_pruning);
         Search {
             ctx,
             config,
-            precomputed,
             state: SearchState {
                 queue: BinaryHeap::new(),
                 doors_checked: HashSet::new(),
@@ -292,13 +294,8 @@ impl<'a> Search<'a> {
                 * std::mem::size_of::<DoorId>()
                 * 2
             + self.state.routing_partitions.len() * std::mem::size_of::<PartitionId>() * 3
-            + self
-                .precomputed
-                .filter(|_| self.config.use_precomputed_paths)
-                .map(|p| p.estimated_bytes())
-                .unwrap_or(0)
             // Index mode charges the shared index plus the per-query bound
-            // caches, mirroring how KoE* charges its distance cache.
+            // caches.
             + self.ctx.index.map(|i| i.estimated_bytes()).unwrap_or(0)
             + self.state.member_bounds.len()
                 * (std::mem::size_of::<PartitionId>() + std::mem::size_of::<f64>() + 8)

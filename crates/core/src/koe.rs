@@ -3,9 +3,9 @@
 //! Instead of expanding door by door, KoE jumps from the current stamp
 //! directly to the enterable doors of *candidate key partitions* — partitions
 //! that can cover query keywords not yet covered by the route — through the
-//! shortest regular connecting route. The KoE* variant replaces the on-the-fly
-//! shortest-path computations with precomputed all-pairs door paths and falls
-//! back to recomputation when the precomputed path violates regularity.
+//! shortest regular connecting route. The KoE* variant first takes the plain
+//! shortest door-to-door path, ignoring the route's doors, and falls back to
+//! recomputation when that path violates regularity (§V-A3).
 
 use crate::framework::Search;
 use crate::pruning::PruneRule;
@@ -22,8 +22,8 @@ struct Connection {
 }
 
 /// Shortest-path source from the current stamp: either Dijkstra runs rooted
-/// at the stamp's position, or (for KoE*) the precomputed matrix with lazy
-/// fallback.
+/// at the stamp's position, or (for KoE*) an unconstrained run with a lazy
+/// regular fallback.
 ///
 /// Every Dijkstra run here stops at the first distance for which a
 /// connection would fail the `stamp.distance + d > ∆` check that `koe_find`
@@ -36,13 +36,15 @@ enum KoeSource {
     FromPoint(Vec<(DoorId, f64, DijkstraResult)>),
     /// The stamp sits at a door: one Dijkstra with the route's doors excluded.
     FromDoor(DoorId, DijkstraResult),
-    /// KoE*: consult the precomputed matrix first; `fallback` is filled in
-    /// lazily when a precomputed path violates regularity. `base` is the
-    /// stamp's distance, which bounds the fallback search.
-    Precomputed {
+    /// KoE*: consult `unconstrained`, a run from the stamp's door that
+    /// ignores the route's doors, first; `fallback` is filled in lazily when
+    /// one of its paths violates regularity. `base` is the stamp's distance,
+    /// which bounds both searches.
+    KoeStar {
         source: DoorId,
         excluded: HashSet<DoorId>,
         base: f64,
+        unconstrained: DijkstraResult,
         fallback: Option<DijkstraResult>,
     },
 }
@@ -264,20 +266,19 @@ impl Search<'_> {
             Some(dk) => {
                 let mut excluded = stamp.route.door_set();
                 excluded.remove(&dk);
-                if self.config.use_precomputed_paths && self.precomputed.is_some() {
-                    KoeSource::Precomputed {
+                self.state.metrics.dijkstra_calls += 1;
+                let paths = self.ctx.space.shortest_paths();
+                if self.config.use_precomputed_paths {
+                    KoeSource::KoeStar {
                         source: dk,
+                        unconstrained: paths
+                            .from_door_within(dk, &HashSet::new(), |d| base + d > delta),
                         excluded,
                         base,
                         fallback: None,
                     }
                 } else {
-                    self.state.metrics.dijkstra_calls += 1;
-                    let result =
-                        self.ctx
-                            .space
-                            .shortest_paths()
-                            .from_door_within(dk, &excluded, |d| base + d > delta);
+                    let result = paths.from_door_within(dk, &excluded, |d| base + d > delta);
                     KoeSource::FromDoor(dk, result)
                 }
             }
@@ -335,10 +336,11 @@ impl Search<'_> {
                     partitions,
                 })
             }
-            KoeSource::Precomputed {
+            KoeSource::KoeStar {
                 source: dk,
                 excluded,
                 base,
+                unconstrained,
                 fallback,
             } => {
                 if *dk == dl {
@@ -348,23 +350,30 @@ impl Search<'_> {
                         partitions: Vec::new(),
                     });
                 }
-                let matrix = self.precomputed.expect("KoE* requires precomputed paths");
-                if let Some((doors, partitions)) = matrix.path(*dk, dl) {
-                    let regular = doors.iter().skip(1).all(|d| !excluded.contains(d));
-                    if regular {
-                        return Some(Connection {
-                            distance: matrix.distance(*dk, dl),
-                            doors,
-                            partitions,
-                        });
-                    }
-                    // Regularity check failed: recompute on the fly, as the
-                    // paper prescribes for KoE*.
-                    self.state.metrics.precomputed_path_recomputations += 1;
+                let (base, delta) = (*base, self.ctx.delta());
+                let d = unconstrained.distance(dl);
+                // Beyond the budget even ignoring the route's doors, so
+                // beyond it along any regular path too.
+                if base + d > delta {
+                    self.state
+                        .metrics
+                        .prunes
+                        .record(PruneRule::DistanceConstraint);
+                    return None;
                 }
+                let (doors, partitions) = unconstrained.path_to(dl)?;
+                if doors.iter().skip(1).all(|d| !excluded.contains(d)) {
+                    return Some(Connection {
+                        distance: d,
+                        doors,
+                        partitions,
+                    });
+                }
+                // Regularity check failed: recompute on the fly, as the paper
+                // prescribes for KoE*.
+                self.state.metrics.precomputed_path_recomputations += 1;
                 if fallback.is_none() {
                     self.state.metrics.dijkstra_calls += 1;
-                    let (base, delta) = (*base, self.ctx.delta());
                     *fallback = Some(self.ctx.space.shortest_paths().from_door_within(
                         *dk,
                         excluded,

@@ -14,7 +14,7 @@ pub struct SearchMetrics {
     #[serde(with = "duration_millis")]
     pub elapsed: Duration,
     /// Peak of the deterministic byte accounting of all live search state
-    /// (queue, prime table, visited-door sets, results, precomputed paths).
+    /// (queue, prime table, visited-door sets, results, shared index).
     /// This is the reproduction's substitute for the paper's JVM heap
     /// measurements; relative comparisons between algorithms are meaningful.
     pub peak_memory_bytes: usize,
@@ -30,7 +30,7 @@ pub struct SearchMetrics {
     /// Number of single-source shortest-path computations performed.
     pub dijkstra_calls: u64,
     /// Number of shortest-path recomputations forced by failed regularity
-    /// checks against precomputed paths (KoE* only).
+    /// checks against the unconstrained door-to-door paths (KoE* only).
     pub precomputed_path_recomputations: u64,
     /// Per-rule pruning counters.
     pub prunes: PruneStats,

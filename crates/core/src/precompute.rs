@@ -1,209 +1,26 @@
-//! Precomputed shortest door routes for the KoE* variant (§V-A3), lazily
-//! materialised per source door.
+//! The retired KoE* row-table handle.
 //!
-//! Historically this wrapped an eager `DoorMatrix::build_with_paths`: the
-//! full `O(doors²)` all-pairs matrix was computed behind a `OnceLock` before
-//! the first KoE* query could run — untenable at venue scale (a 2×10⁴-door
-//! venue would pin several gigabytes whether or not any query touches it).
-//! It now wraps [`LazyDoorRows`] from `indoor-index`: the same per-source
-//! Dijkstra runs on first touch of each row, so distances and reconstructed
-//! paths are value-identical to the eager matrix (tested below) while
-//! resident memory tracks the rows queries actually touch.
+//! KoE* (§V-A3) used to read door-to-door shortest paths from a shared,
+//! lazily materialised all-pairs table. It now runs one ∆-bounded search
+//! per expanded stamp instead (see [`crate::koe`]), so nothing is
+//! precomputed and this type holds no state.
 
-use indoor_index::{LazyDoorRows, RowCacheStats};
-use indoor_space::{DoorId, IndoorSpace, PartitionId};
+use indoor_space::IndoorSpace;
 use std::sync::Arc;
 
-/// Precomputed shortest routes between every pair of doors, including the
-/// predecessor information needed to reconstruct the actual paths.
+/// A stateless stand-in for the former KoE* row table.
 ///
-/// The paper's KoE* uses this to avoid on-the-fly shortest-path computation
-/// when jumping to the next key partition, at the cost of recomputations
-/// whenever a precomputed path fails the regularity check against the
-/// current route. Rows materialise on first use; [`PrecomputedPaths::warm`]
-/// restores the old build-everything-up-front behaviour for callers that
-/// want the full footprint paid before serving.
+/// It survives only because the serving benchmark (`perfbench/src/layers.rs`)
+/// still constructs one and passes it to [`crate::framework::Search::new`],
+/// and the benchmark's sources may change only together with the benchmark
+/// itself. Remove it with that parameter in the next change to the
+/// benchmark.
 #[derive(Debug)]
-pub struct PrecomputedPaths {
-    rows: LazyDoorRows,
-}
+pub struct PrecomputedPaths;
 
 impl PrecomputedPaths {
-    /// Creates the (empty) lazy row table for a venue with the default
-    /// budget-derived row capacity. Cost: one allocation.
-    pub fn new(space: Arc<IndoorSpace>) -> Self {
-        PrecomputedPaths {
-            rows: LazyDoorRows::new(space),
-        }
-    }
-
-    /// Creates the row table with an explicit LRU row capacity
-    /// (the `--koe-rows-cap` serve flag ends up here).
-    pub fn with_capacity(space: Arc<IndoorSpace>, capacity: usize) -> Self {
-        PrecomputedPaths {
-            rows: LazyDoorRows::with_capacity(space, capacity),
-        }
-    }
-
-    /// Convenience constructor from a borrowed space (clones it into the
-    /// internal [`Arc`]); rows still materialise lazily.
-    pub fn build(space: &IndoorSpace) -> Self {
-        Self::new(Arc::new(space.clone()))
-    }
-
-    /// Forces every row to materialise and returns the resulting byte
-    /// footprint — the all-or-nothing warm-up of the original design.
-    pub fn warm(&self) -> usize {
-        self.rows.materialize_all()
-    }
-
-    /// Shortest distance between two doors (ignoring regularity).
-    pub fn distance(&self, from: DoorId, to: DoorId) -> f64 {
-        self.rows.distance(from, to)
-    }
-
-    /// The precomputed shortest path, as `(doors, connecting partitions)`.
-    pub fn path(&self, from: DoorId, to: DoorId) -> Option<(Vec<DoorId>, Vec<PartitionId>)> {
-        self.rows.path(from, to)
-    }
-
-    /// Number of doors covered.
-    pub fn num_doors(&self) -> usize {
-        self.rows.num_doors()
-    }
-
-    /// Number of source rows currently resident.
-    pub fn materialized_rows(&self) -> usize {
-        self.rows.materialized_rows()
-    }
-
-    /// Row-cache counter snapshot (capacity, residency, hits, misses,
-    /// evictions) for `/v1/stats`.
-    pub fn cache_stats(&self) -> RowCacheStats {
-        self.rows.cache_stats()
-    }
-
-    /// Estimated heap size in bytes — materialised rows only, so the figure
-    /// charged to the KoE* memory metric grows with use instead of starting
-    /// at the full all-pairs footprint.
-    pub fn estimated_bytes(&self) -> usize {
-        self.rows.estimated_bytes()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use indoor_geom::{approx_eq, Point, Rect};
-    use indoor_space::{DoorKind, DoorMatrix, FloorId, IndoorSpaceBuilder, PartitionKind};
-
-    fn corridor(n: usize) -> IndoorSpace {
-        let mut b = IndoorSpaceBuilder::new();
-        let f = FloorId(0);
-        let rooms: Vec<_> = (0..n)
-            .map(|i| {
-                b.add_partition(
-                    f,
-                    PartitionKind::Room,
-                    Rect::from_origin_size(Point::new(i as f64 * 10.0, 0.0), 10.0, 10.0).unwrap(),
-                    None,
-                )
-            })
-            .collect();
-        for i in 0..n - 1 {
-            let d = b.add_door(Point::new((i + 1) as f64 * 10.0, 5.0), f, DoorKind::Normal);
-            b.connect_bidirectional(d, rooms[i], rooms[i + 1]);
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn precomputed_paths_match_graph_distances() {
-        let space = corridor(5);
-        let pre = PrecomputedPaths::build(&space);
-        assert_eq!(pre.num_doors(), 4);
-        assert_eq!(pre.materialized_rows(), 0, "nothing touched yet");
-        assert!(approx_eq(pre.distance(DoorId(0), DoorId(3)), 30.0));
-        assert_eq!(pre.materialized_rows(), 1, "one row touched");
-        let (doors, parts) = pre.path(DoorId(0), DoorId(3)).unwrap();
-        assert_eq!(doors.len(), 4);
-        assert_eq!(parts.len(), 3);
-        assert!(pre.estimated_bytes() > 0);
-        assert!(pre.path(DoorId(0), DoorId(99)).is_none());
-    }
-
-    #[test]
-    fn lazy_rows_agree_with_eager_matrix() {
-        let space = corridor(7);
-        let eager = DoorMatrix::build_with_paths(&space);
-        let lazy = PrecomputedPaths::build(&space);
-        let n = space.num_doors();
-        for a in 0..n {
-            for b in 0..n {
-                let (da, db) = (DoorId(a as u32), DoorId(b as u32));
-                let de = eager.distance(da, db);
-                let dl = lazy.distance(da, db);
-                assert!(
-                    (de.is_finite() == dl.is_finite()) && (!de.is_finite() || de == dl),
-                    "distance mismatch {da:?}->{db:?}: {de} vs {dl}"
-                );
-                assert_eq!(
-                    eager.path(da, db),
-                    lazy.path(da, db),
-                    "path mismatch {da:?}->{db:?}"
-                );
-            }
-        }
-        assert_eq!(lazy.materialized_rows(), n);
-        // Warm-up is idempotent and reports the full footprint.
-        let full = lazy.warm();
-        assert_eq!(full, lazy.estimated_bytes());
-    }
-
-    #[test]
-    fn warm_materialises_every_row() {
-        let space = corridor(4);
-        let pre = PrecomputedPaths::build(&space);
-        let bytes = pre.warm();
-        assert_eq!(pre.materialized_rows(), pre.num_doors());
-        assert!(bytes > 0);
-    }
-
-    #[test]
-    fn bounded_rows_never_exceed_capacity_and_stay_correct() {
-        let space = corridor(9); // 8 doors
-        let eager = DoorMatrix::build_with_paths(&space);
-        let pre = PrecomputedPaths::with_capacity(Arc::new(space.clone()), 3);
-        let n = space.num_doors();
-        for a in 0..n {
-            for b in 0..n {
-                let (da, db) = (DoorId(a as u32), DoorId(b as u32));
-                assert_eq!(eager.path(da, db), pre.path(da, db));
-                assert!(
-                    pre.materialized_rows() <= 3,
-                    "resident rows {} exceeded capacity",
-                    pre.materialized_rows()
-                );
-            }
-        }
-        let stats = pre.cache_stats();
-        assert_eq!(stats.capacity, 3);
-        assert!(stats.resident <= 3);
-        assert!(stats.evictions > 0, "eviction must have happened");
-        assert!(stats.hits > 0 && stats.misses >= n as u64);
-        // Evicted rows recompute to the same values on re-touch.
-        assert!(approx_eq(
-            pre.distance(DoorId(0), DoorId(7)),
-            eager.distance(DoorId(0), DoorId(7))
-        ));
-    }
-
-    #[test]
-    fn warm_with_small_capacity_leaves_capacity_rows() {
-        let space = corridor(6); // 5 doors
-        let pre = PrecomputedPaths::with_capacity(Arc::new(space), 2);
-        pre.warm();
-        assert_eq!(pre.materialized_rows(), 2);
-        assert_eq!(pre.cache_stats().evictions as usize, 5 - 2);
+    /// Returns the handle; the space is not read.
+    pub fn new(_space: Arc<IndoorSpace>) -> Self {
+        PrecomputedPaths
     }
 }

@@ -36,7 +36,9 @@ pub struct VariantConfig {
     /// results). Disabled in ToE\P; KoE cannot disable it (its expansion is
     /// formulated on prime routes).
     pub use_prime_pruning: bool,
-    /// Use precomputed all-pairs shortest door paths when expanding (KoE*).
+    /// Expand along unconstrained shortest door paths first, recomputing
+    /// only when one breaks regularity (KoE*). The paths come from one
+    /// ∆-bounded search per expanded stamp, not a precomputed table.
     pub use_precomputed_paths: bool,
     /// Keep expanding stamps that already reached the terminal partition
     /// (ablation of the connect heuristic of Algorithm 5; off by default to
@@ -113,7 +115,8 @@ impl VariantConfig {
         }
     }
 
-    /// KoE*: KoE with precomputed shortest routes between doors.
+    /// KoE*: KoE along unconstrained shortest routes between doors, with
+    /// on-the-fly recomputation when a route breaks regularity.
     pub fn koe_star() -> Self {
         VariantConfig {
             use_precomputed_paths: true,

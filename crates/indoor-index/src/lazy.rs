@@ -1,23 +1,25 @@
-//! Lazily materialised, capacity-bounded per-door shortest-path rows.
+//! Lazily materialised, capacity-bounded per-door distance rows for the
+//! workload generator.
 //!
-//! The eager `DoorMatrix::build_with_paths` runs one single-source Dijkstra
-//! per door up front and stores `O(doors²)` distances plus predecessors.
+//! Step 2 of the paper's query generation (§V-A1) picks a door whose
+//! distance from the start approximates `δs2t`, reading a precomputed
+//! door-to-door matrix. The eager `DoorMatrix::build` runs one single-source
+//! Dijkstra per door up front and stores `O(doors²)` distances.
 //! [`LazyDoorRows`] keeps the identical per-source computation — the same
 //! `ShortestPaths::from_door` with an empty exclusion set — but runs it on
 //! first touch of each row and caches the [`DijkstraResult`] in an LRU table
-//! bounded by a row capacity. Distances and reconstructed paths are therefore
-//! value-identical to the eager matrix (tested against it), while resident
-//! memory is `O(min(touched, capacity) × doors)` instead of `O(doors²)`.
+//! bounded by a row capacity. Distances are therefore value-identical to the
+//! eager matrix (tested against it), while resident memory is
+//! `O(min(touched, capacity) × doors)` instead of `O(doors²)`.
 //!
 //! The default capacity is sized from a fixed byte budget
 //! ([`DEFAULT_ROW_BYTES_BUDGET`]) divided by the per-row footprint, clamped
 //! to `[16, doors]` — small venues therefore never evict (the cache holds
 //! every row), while a 10⁵-door mega venue is capped at a few hundred
-//! resident rows. Hits, misses, and evictions are counted for `/v1/stats`.
+//! resident rows.
 
 use indoor_space::{DijkstraResult, DoorId, IndoorSpace, PartitionId, ShortestPaths, UNREACHABLE};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Byte budget the default row capacity is sized from (256 MiB).
@@ -25,21 +27,6 @@ pub const DEFAULT_ROW_BYTES_BUDGET: usize = 256 << 20;
 
 /// Minimum row capacity regardless of venue size.
 pub const MIN_ROWS_CAPACITY: usize = 16;
-
-/// Point-in-time view of the row cache, surfaced on `/v1/stats`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowCacheStats {
-    /// Maximum number of rows the cache may hold at once.
-    pub capacity: usize,
-    /// Rows currently resident.
-    pub resident: usize,
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to run a Dijkstra.
-    pub misses: u64,
-    /// Rows dropped to stay within capacity.
-    pub evictions: u64,
-}
 
 /// The LRU bookkeeping behind one mutex: the resident rows keyed by door id,
 /// each stamped with its last-use tick, plus the inverse tick → door order
@@ -85,8 +72,8 @@ impl RowCache {
     }
 }
 
-/// All-pairs door distances and paths, materialised one source row at a time
-/// and bounded by an LRU capacity. Shareable across query threads; a
+/// All-pairs door distances, materialised one source row at a time and
+/// bounded by an LRU capacity. Shareable across generator threads; a
 /// concurrent first touch of the same row may duplicate the Dijkstra, but
 /// the first insert wins and later racers adopt it, so readers always
 /// observe one consistent row.
@@ -96,9 +83,6 @@ pub struct LazyDoorRows {
     num_doors: usize,
     capacity: usize,
     cache: Mutex<RowCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl LazyDoorRows {
@@ -117,9 +101,6 @@ impl LazyDoorRows {
             num_doors,
             capacity: capacity.max(1),
             cache: Mutex::new(RowCache::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -127,41 +108,24 @@ impl LazyDoorRows {
     /// `DEFAULT_ROW_BYTES_BUDGET / row_bytes`, clamped to
     /// `[MIN_ROWS_CAPACITY, num_doors]`. Venues whose full matrix fits the
     /// budget keep every row resident and never evict.
-    pub fn default_capacity(num_doors: usize) -> usize {
-        let per_row = Self::row_bytes(num_doors).max(1);
-        (DEFAULT_ROW_BYTES_BUDGET / per_row)
+    fn default_capacity(num_doors: usize) -> usize {
+        let row_bytes = num_doors
+            * (std::mem::size_of::<f64>() + std::mem::size_of::<Option<(DoorId, PartitionId)>>());
+        (DEFAULT_ROW_BYTES_BUDGET / row_bytes.max(1))
             .clamp(MIN_ROWS_CAPACITY, num_doors.max(MIN_ROWS_CAPACITY))
-    }
-
-    /// Heap footprint of one materialised row.
-    fn row_bytes(num_doors: usize) -> usize {
-        num_doors
-            * (std::mem::size_of::<f64>() + std::mem::size_of::<Option<(DoorId, PartitionId)>>())
-    }
-
-    /// Number of doors covered (row and column count).
-    pub fn num_doors(&self) -> usize {
-        self.num_doors
-    }
-
-    /// Maximum number of rows the cache may hold at once.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// The Dijkstra row for a source door, materialising it on first touch
     /// (and possibly evicting the least recently used row). `None` only for
     /// an out-of-range door id.
-    pub fn row(&self, from: DoorId) -> Option<Arc<DijkstraResult>> {
+    fn row(&self, from: DoorId) -> Option<Arc<DijkstraResult>> {
         if from.index() >= self.num_doors {
             return None;
         }
         let key = from.0;
         if let Some(row) = self.cache.lock().expect("row cache poisoned").touch(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(row);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Dijkstra runs outside the lock so concurrent misses on different
         // rows do not serialise; on relock, adopt a racing winner if any.
         let computed = Arc::new(ShortestPaths::new(&self.space).from_door(from, &HashSet::new()));
@@ -169,10 +133,7 @@ impl LazyDoorRows {
         if let Some(existing) = cache.touch(key) {
             return Some(existing);
         }
-        let evicted = cache.insert(key, Arc::clone(&computed), self.capacity);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        cache.insert(key, Arc::clone(&computed), self.capacity);
         Some(computed)
     }
 
@@ -188,52 +149,9 @@ impl LazyDoorRows {
         }
     }
 
-    /// Reconstructs the shortest path from `from` to `to` as
-    /// `(doors, partitions)`; same contract as `DoorMatrix::path` on a
-    /// matrix built with paths.
-    pub fn path(&self, from: DoorId, to: DoorId) -> Option<(Vec<DoorId>, Vec<PartitionId>)> {
-        if to.index() >= self.num_doors {
-            return None;
-        }
-        self.row(from)?.path_to(to)
-    }
-
     /// Number of rows currently resident in the cache.
     pub fn materialized_rows(&self) -> usize {
         self.cache.lock().expect("row cache poisoned").map.len()
-    }
-
-    /// Counter snapshot for stats reporting.
-    pub fn cache_stats(&self) -> RowCacheStats {
-        RowCacheStats {
-            capacity: self.capacity,
-            resident: self.materialized_rows(),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Touches every row once (the old all-or-nothing warm-up); with a
-    /// capacity below the door count this leaves the last `capacity` rows
-    /// resident. Returns the estimated byte footprint afterwards.
-    pub fn materialize_all(&self) -> usize {
-        for i in 0..self.num_doors {
-            let _ = self.row(DoorId(i as u32));
-        }
-        self.estimated_bytes()
-    }
-
-    /// Estimated heap size in bytes: only resident rows count, so the
-    /// figure grows with use and is bounded by the capacity instead of the
-    /// full `O(doors²)`.
-    pub fn estimated_bytes(&self) -> usize {
-        let resident = self.materialized_rows();
-        std::mem::size_of::<Self>()
-            + resident
-                * (Self::row_bytes(self.num_doors)
-                    + std::mem::size_of::<(u64, u32)>()
-                    + std::mem::size_of::<(u32, (u64, usize))>())
     }
 }
 
@@ -241,7 +159,90 @@ impl LazyDoorRows {
 mod cache_tests {
     use super::*;
     use indoor_geom::{Point, Rect};
-    use indoor_space::{DoorKind, FloorId, IndoorSpaceBuilder, PartitionKind};
+    use indoor_space::{DoorKind, DoorMatrix, FloorId, IndoorSpaceBuilder, PartitionKind};
+
+    /// `n` rooms in a row, joined by `n - 1` two-way doors.
+    fn corridor(n: usize) -> IndoorSpace {
+        let mut b = IndoorSpaceBuilder::new();
+        let f = FloorId(0);
+        let rooms: Vec<_> = (0..n)
+            .map(|i| {
+                b.add_partition(
+                    f,
+                    PartitionKind::Room,
+                    Rect::from_origin_size(Point::new(i as f64 * 10.0, 0.0), 10.0, 10.0).unwrap(),
+                    None,
+                )
+            })
+            .collect();
+        for i in 0..n - 1 {
+            let d = b.add_door(Point::new((i + 1) as f64 * 10.0, 5.0), f, DoorKind::Normal);
+            b.connect_bidirectional(d, rooms[i], rooms[i + 1]);
+        }
+        b.build().unwrap()
+    }
+
+    /// Whether two distances agree, unreachable included.
+    fn same(a: f64, b: f64) -> bool {
+        a.is_finite() == b.is_finite() && (!a.is_finite() || a == b)
+    }
+
+    #[test]
+    fn lazy_rows_agree_with_eager_matrix() {
+        let space = corridor(7);
+        let eager = DoorMatrix::build(&space);
+        let lazy = LazyDoorRows::new(Arc::new(space.clone()));
+        assert_eq!(lazy.materialized_rows(), 0, "nothing touched yet");
+        let n = space.num_doors();
+        for a in 0..n {
+            for b in 0..n {
+                let (da, db) = (DoorId(a as u32), DoorId(b as u32));
+                let (de, dl) = (eager.distance(da, db), lazy.distance(da, db));
+                assert!(
+                    same(de, dl),
+                    "distance mismatch {da:?}->{db:?}: {de} vs {dl}"
+                );
+            }
+        }
+        assert_eq!(lazy.materialized_rows(), n);
+        assert_eq!(lazy.distance(DoorId(0), DoorId(99)), UNREACHABLE);
+    }
+
+    #[test]
+    fn bounded_rows_never_exceed_capacity_and_stay_correct() {
+        let space = corridor(9); // 8 doors
+        let eager = DoorMatrix::build(&space);
+        let lazy = LazyDoorRows::with_capacity(Arc::new(space.clone()), 3);
+        let n = space.num_doors();
+        for a in 0..n {
+            for b in 0..n {
+                let (da, db) = (DoorId(a as u32), DoorId(b as u32));
+                assert!(same(eager.distance(da, db), lazy.distance(da, db)));
+                assert!(
+                    lazy.materialized_rows() <= 3,
+                    "resident rows {} exceeded capacity",
+                    lazy.materialized_rows()
+                );
+            }
+        }
+        // Every row was touched but only three stay: the rest were evicted,
+        // and an evicted row recomputes to the same value on re-touch.
+        assert_eq!(lazy.materialized_rows(), 3);
+        assert!(same(
+            lazy.distance(DoorId(0), DoorId(7)),
+            eager.distance(DoorId(0), DoorId(7))
+        ));
+    }
+
+    #[test]
+    fn warm_with_small_capacity_leaves_capacity_rows() {
+        let space = corridor(6); // 5 doors
+        let lazy = LazyDoorRows::with_capacity(Arc::new(space), 2);
+        for i in 0..5 {
+            lazy.distance(DoorId(i), DoorId(0));
+        }
+        assert_eq!(lazy.materialized_rows(), 2);
+    }
 
     /// Any real Dijkstra row works; the cache never inspects contents.
     fn dummy_row() -> Arc<DijkstraResult> {

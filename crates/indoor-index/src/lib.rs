@@ -2,11 +2,10 @@
 //!
 //! The search engine's original candidate generation is linear in venue
 //! size: `CandidateSet::build` scans the whole i-word vocabulary per query
-//! keyword, and the KoE* distance cache (`PrecomputedPaths`) materialises
-//! the full `O(doors²)` all-pairs matrix before the first query. Both are
-//! fine at mall scale (≲150 partitions) and collapse at airport/stadium
-//! scale (10⁴–10⁵ partitions). This crate provides the three structures
-//! that remove the linear scans, behind APIs that keep query results
+//! keyword, and the workload generator read an eager `O(doors²)` all-pairs
+//! matrix. Both are fine at mall scale (≲150 partitions) and collapse at
+//! airport/stadium scale (10⁴–10⁵ partitions). This crate provides the
+//! three structures that remove them, behind APIs that keep query results
 //! **byte-identical** to the scan path:
 //!
 //! ## Layout
@@ -46,15 +45,14 @@
 //!    a region prunes only when every one of its members would have been
 //!    pruned individually by the same Rule-3 comparison.
 //!
-//! 3. **[`LazyDoorRows`]** — incremental replacement for the all-or-nothing
-//!    all-pairs matrix: one [`DijkstraResult`] row per source door,
-//!    materialised on first touch behind a [`OnceLock`]. Rows are computed
-//!    by the same single-source Dijkstra (`ShortestPaths::from_door` with an
-//!    empty exclusion set) that `DoorMatrix::build_with_paths` runs per
-//!    source, so distances *and* reconstructed paths are value-identical to
-//!    the eager matrix; KoE* on a large venue pays only for the rows its
-//!    queries touch, keeping resident memory proportional to touched doors
-//!    rather than `doors²`.
+//! 3. **[`LazyDoorRows`]** — the workload generator's replacement for the
+//!    all-or-nothing all-pairs matrix: one [`DijkstraResult`] row per source
+//!    door, materialised on first touch and kept in a bounded LRU. Rows are
+//!    computed by the same single-source Dijkstra (`ShortestPaths::from_door`
+//!    with an empty exclusion set) that `DoorMatrix::build` runs per source,
+//!    so distances are value-identical to the eager matrix, and generation
+//!    pays only for the rows it touches. The query engine does not use it:
+//!    every search, KoE* included, runs its own ∆-bounded searches.
 //!
 //! ## When regions prune
 //!
@@ -77,7 +75,6 @@
 //! [`WordId`]: indoor_keywords::WordId
 //! [`CandidateSet`]: indoor_keywords::CandidateSet
 //! [`DijkstraResult`]: indoor_space::DijkstraResult
-//! [`OnceLock`]: std::sync::OnceLock
 
 pub mod counters;
 pub mod lazy;
@@ -85,7 +82,7 @@ pub mod postings;
 pub mod regions;
 
 pub use counters::{IndexCounterSnapshot, IndexCounters};
-pub use lazy::{LazyDoorRows, RowCacheStats, DEFAULT_ROW_BYTES_BUDGET, MIN_ROWS_CAPACITY};
+pub use lazy::{LazyDoorRows, DEFAULT_ROW_BYTES_BUDGET, MIN_ROWS_CAPACITY};
 pub use postings::{KeywordPostings, PostingTable};
 pub use regions::{Region, RegionIndex};
 

@@ -591,7 +591,37 @@ fn stats_expose_index_observability() {
     assert_eq!(index.get("venues_total").unwrap().as_u64(), Some(1));
     assert!(index.get("estimated_bytes").unwrap().as_u64().unwrap() > 0);
     assert_eq!(index.get("queries_accelerated").unwrap().as_u64(), Some(0));
-    assert_eq!(index.get("precomputed_rows").unwrap().as_u64(), Some(0));
+    // KoE* keeps no row cache, so neither level reports row counters.
+    let keys = |object: &serde::Value| -> Vec<String> {
+        object
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    };
+    assert_eq!(
+        keys(index),
+        [
+            "mode",
+            "venues_indexed",
+            "venues_total",
+            "build_micros",
+            "estimated_bytes",
+            "queries_accelerated",
+            "regions_tested",
+            "regions_pruned",
+            "candidates_pruned",
+            "bound_cache_hits",
+            "venues_loaded_from_disk",
+            "venues",
+        ]
+    );
+    let venue = &index.get("venues").unwrap().as_array().unwrap()[0];
+    assert_eq!(
+        keys(venue),
+        ["id", "mode", "loaded_from_disk", "build_micros", "document"]
+    );
 
     // Queries bump the cumulative accelerated counter.
     let body = serde_json::to_string(&fig1_request(3, 400.0, VariantConfig::koe())).unwrap();
